@@ -14,11 +14,9 @@ files.
 from .sft import (
     TransitionMatrix,
     PointSpec,
-    validate_matrix,
     enumerate_words,
     higher_block,
     has_cycle_within,
-    extensions,
     is_irreducible,
     is_primitive,
 )

@@ -59,10 +59,9 @@ def cycle_sums(A, g, cycle_cap=10**6):
     block, labels, weights = _block_weights(A, g)
     graph = nx.DiGraph()
     graph.add_nodes_from(labels)
-    for a, wa in enumerate(labels):
-        for b in range(block.n):
-            if block.entries[a, b]:
-                graph.add_edge(wa, labels[b])
+    for a, wa in enumerate(labels, 1):
+        for b in block.followers(a):
+            graph.add_edge(wa, labels[b - 1])
     out = []
     for count, cycle in enumerate(nx.simple_cycles(graph)):
         if count >= cycle_cap:
@@ -100,14 +99,8 @@ def solve_potential(A, g, cycle_cap=10**6):
                 )
         raise NotCoboundaryError("no locally constant potential exists")
 
-    index = {w: i for i, w in enumerate(labels)}
-    forward = {w: [] for w in labels}
-    backward = {w: [] for w in labels}
-    for a, wa in enumerate(labels):
-        for b in range(block.n):
-            if block.entries[a, b]:
-                forward[wa].append(labels[b])
-                backward[labels[b]].append(wa)
+    forward = {w: [labels[b - 1] for b in block.followers(a)] for a, w in enumerate(labels, 1)}
+    backward = {w: [labels[a - 1] for a in block.predecessors(b)] for b, w in enumerate(labels, 1)}
     beta = {}
     for root in labels:  # one spanning tree per weak component
         if root in beta:

@@ -19,7 +19,6 @@ and minimality search are built on top of it.
 from .sft import (
     PointSpec,
     enumerate_words,
-    extensions,
     has_cycle_within,
     is_primitive,
 )
@@ -176,7 +175,7 @@ def membership_split(A, f, z):
     A.check_word(z.mu)
     A.check_word(z.nu)
     inside, outside = [], []
-    for w in extensions(A, z.mu[-1], f.depth - 1):
+    for w in enumerate_words(A, f.depth - 1, after=z.mu[-1]):
         piece = Bisection(z.mu + w, z.nu + w)
         if cocycle_sum(f, piece.mu, len(z.mu)) == cocycle_sum(f, piece.nu, len(z.nu)):
             inside.append(piece)
@@ -287,7 +286,7 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
             return build((), l)
         if k < m and z.window(l, m - k) != mu[k:]:
             return None
-        if not A.entries[p[-1] - 1, z.symbol(l + 1) - 1]:
+        if z.symbol(l + 1) not in A.follower_set(p[-1]):
             return None
         value = cocycle_sum(f, p + z.window(l, K), k)
         if abs(value) > value_max or value != fz[l]:

@@ -138,8 +138,10 @@ def ck_k_groups(A):
     free of the same rank as the cokernel's free part.
     """
     n = A.n
-    At = A.entries.T
-    M = [[(1 if i == j else 0) - int(At[i, j]) for j in range(n)] for i in range(n)]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):  # row i of A^T lists the predecessors of symbol i + 1
+        for j in A.predecessors(i + 1):
+            M[i][j - 1] -= 1
     D, _, _ = smith_normal_form(M)
     diag = [D[i][i] for i in range(n)]
     free_rank = sum(1 for d in diag if d == 0)

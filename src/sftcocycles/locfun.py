@@ -290,7 +290,7 @@ class BlockCode:
             self.table[w] = s
         for w in enumerate_words(source, window + 1):
             a, b = self.table[w[:window]], self.table[w[1:]]
-            if not target.entries[a - 1, b - 1]:
+            if b not in target.follower_set(a):
                 raise ValueError(
                     "code image of %r is not admissible in the target" % (w,)
                 )

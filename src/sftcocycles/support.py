@@ -160,11 +160,13 @@ class InclusionMatrix:
 def inclusion_matrix(A, H):
     """Build the inclusion matrix over the lexicographic Sigma_H order."""
     family = sigma_family(A, H)
-    M = family.size
-    arr = np.zeros((M, M), dtype=np.int64)
-    for a, wa in enumerate(family.words):
-        for b, wb in enumerate(family.words):
-            arr[a, b] = A.entries[wa[-1] - 1, wb[0] - 1]
+    firsts = [w[0] for w in family.words]
+    # A row depends only on the last symbol of its word: it marks the
+    # words whose first symbol may follow that symbol.
+    rows = np.array(
+        [np.isin(firsts, A.followers(s)) for s in range(1, A.n + 1)], dtype=np.int64
+    )
+    arr = rows[[w[-1] - 1 for w in family.words]]
     arr.setflags(write=False)
     return InclusionMatrix(family, arr)
 

@@ -50,19 +50,17 @@ class SuspendedMatrix:
             for t in range(ceilings[j - 1]):
                 labels.append((j, t))
         index = {lab: i for i, lab in enumerate(labels)}
-        size = len(labels)
-        entries = [[0] * size for _ in range(size)]
-        for j in range(1, base.n + 1):
-            top = ceilings[j - 1] - 1
-            for t in range(top):
-                entries[index[(j, t)]][index[(j, t + 1)]] = 1
-            for k in base.followers(j):
-                entries[index[(j, top)]][index[(k, 0)]] = 1
+        followers = []
+        for j, t in labels:
+            if t < ceilings[j - 1] - 1:
+                followers.append((index[(j, t + 1)] + 1,))
+            else:
+                followers.append(tuple(index[(k, 0)] + 1 for k in base.followers(j)))
         self.base = base
         self.ceilings = ceilings
         self.labels = tuple(labels)
         self.index = index
-        self.matrix = TransitionMatrix(entries)
+        self.matrix = TransitionMatrix.from_followers(followers)
 
     @property
     def size(self):
@@ -146,18 +144,14 @@ def corner_partition_check(A, ceilings):
     flags a construction bug.
     """
     S = SuspendedMatrix(A, ceilings)
-    ent = S.matrix.entries
+    M = S.matrix
     for j in range(1, A.n + 1):
         top = S.ceilings[j - 1] - 1
         for t in range(top):
-            row = S.symbol_of(j, t) - 1
-            if ent[row].sum() != 1 or not ent[row, S.symbol_of(j, t + 1) - 1]:
+            here, up = S.symbol_of(j, t), S.symbol_of(j, t + 1)
+            if M.followers(here) != (up,) or M.predecessors(up) != (here,):
                 return False
-            if ent[:, S.symbol_of(j, t + 1) - 1].sum() != 1:
-                return False
-        row = S.symbol_of(j, top) - 1
-        expected = {S.symbol_of(k, 0) - 1 for k in A.followers(j)}
-        actual = {c for c in range(S.size) if ent[row, c]}
-        if actual != expected:
+        expected = {S.symbol_of(k, 0) for k in A.followers(j)}
+        if set(M.followers(S.symbol_of(j, top))) != expected:
             return False
     return True

@@ -28,7 +28,6 @@ from sftcocycles import (
     dimension_report,
     encode_word,
     enumerate_words,
-    extensions,
     generator_fixed,
     has_cycle_within,
     inclusion_matrix,
@@ -160,7 +159,7 @@ def test_criterion_05_groupoid_axiom_suite():
         for z in zs:
             split = membership_split(A, f, z)
             pieces = list(split.inside) + list(split.outside)
-            exts = extensions(A, z.mu[-1], f.depth - 1)
+            exts = enumerate_words(A, f.depth - 1, after=z.mu[-1])
             assert sorted(p.mu for p in pieces) == sorted(z.mu + w for w in exts)
             assert len({p.mu for p in pieces}) == len(pieces)
     _report(5, "groupoid axioms and split partitions on all end-matched bisections up to length 4")

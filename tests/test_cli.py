@@ -72,6 +72,16 @@ def test_validate_zero_column_is_validation_error(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [None, 1.5, "1", True])
+def test_validate_non_integer_entry_is_validation_error(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"matrix": [[bad, 1], [1, 0]]}))
+    code = main(["validate", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "entry (1, 1)" in captured.err
+
+
 def test_words_and_higher_block(files, capsys):
     code, doc = run(capsys, "words", "--matrix", files["gm.json"], "--m", "2")
     assert code == 0 and doc["words"] == [[1, 1], [1, 2], [2, 1]]

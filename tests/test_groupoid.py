@@ -11,7 +11,6 @@ from sftcocycles import (
     compose,
     enumerate_words,
     expectation_support,
-    extensions,
     generator_fixed,
     invert,
     make_chi_H,
@@ -122,7 +121,7 @@ def test_membership_split_partitions(golden, full2):
             for z in end_matched_bisections(A, 4):
                 split = membership_split(A, f, z)
                 pieces = list(split.inside) + list(split.outside)
-                exts = extensions(A, z.mu[-1], f.depth - 1)
+                exts = enumerate_words(A, f.depth - 1, after=z.mu[-1])
                 assert len(pieces) == len(exts)
                 mus = sorted(p.mu for p in pieces)
                 assert mus == sorted(z.mu + w for w in exts)

@@ -7,7 +7,6 @@ from sftcocycles import (
     enumerate_words,
     has_cycle_within,
     higher_block,
-    validate_matrix,
 )
 
 from conftest import words_up_to
@@ -22,13 +21,13 @@ def test_validate_flags_golden(golden):
 
 
 def test_validate_flags_identity_and_swap():
-    identity = validate_matrix([[1, 0], [0, 1]])
+    identity = TransitionMatrix([[1, 0], [0, 1]])
     assert identity.flags() == {
         "irreducible": False,
         "primitive": False,
         "permutation": True,
     }
-    swap = validate_matrix([[0, 1], [1, 0]])
+    swap = TransitionMatrix([[0, 1], [1, 0]])
     assert swap.flags() == {
         "irreducible": True,
         "primitive": False,
@@ -38,15 +37,25 @@ def test_validate_flags_identity_and_swap():
 
 def test_validate_rejects_bad_input():
     with pytest.raises(ValueError):
-        validate_matrix([[1, 1], [1, 0], [1, 0]])
+        TransitionMatrix([[1, 1], [1, 0], [1, 0]])
     with pytest.raises(ValueError):
-        validate_matrix([[1, 2], [1, 0]])
+        TransitionMatrix([[1, 2], [1, 0]])
     with pytest.raises(ValueError, match="row 2"):
-        validate_matrix([[1, 1], [0, 0]])
+        TransitionMatrix([[1, 1], [0, 0]])
     with pytest.raises(ValueError, match="column 2"):
-        validate_matrix([[1, 0], [1, 0]])
+        TransitionMatrix([[1, 0], [1, 0]])
     with pytest.raises(ValueError):
-        validate_matrix([[1]])
+        TransitionMatrix([[1]])
+
+
+@pytest.mark.parametrize("bad", [None, 1.5, "1", True])
+def test_entries_must_be_integers(bad):
+    with pytest.raises(ValueError, match=r"entry \(2, 1\)"):
+        TransitionMatrix([[1, 1], [bad, 0]])
+    with pytest.raises(ValueError, match="integers"):
+        TransitionMatrix(np.array([[1, 1], [1, 0]], dtype=float))
+    # NumPy integers are genuine integers
+    assert TransitionMatrix(np.array([[1, 1], [1, 0]], dtype=np.uint8)).tolist() == [[1, 1], [1, 0]]
 
 
 def test_enumerate_words_examples(golden, full2):
