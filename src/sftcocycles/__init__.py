@@ -61,6 +61,7 @@ from .coboundary import (
     NotCoboundaryError,
     PotentialClass,
     cycle_sums,
+    shortest_nonzero_cycle,
     solve_potential,
     classify_potential,
 )

@@ -44,7 +44,7 @@ from .support import (
     is_saturated,
     level_dimensions,
 )
-from .coboundary import NotCoboundaryError, cycle_sums, solve_potential
+from .coboundary import NotCoboundaryError, shortest_nonzero_cycle, solve_potential
 from .suspension import suspended_matrix, reduce_to_first_coordinate, corner_partition_check
 from .ktheory import ck_k_groups, dimension_report, perron_value
 
@@ -297,16 +297,15 @@ def _cmd_coboundary(args):
     A = _load_matrix(args.matrix)
     g = _load_locfun(A, args.fn)
     if args.mode == "check":
-        sums = cycle_sums(A, g)
-        bad = [(cyc, s) for cyc, s in sums if s != 0]
+        found = shortest_nonzero_cycle(A, g)
         _emit(
             {
-                "coboundary": not bad,
-                "witness_cycle": [list(w) for w in bad[0][0]] if bad else None,
-                "witness_sum": bad[0][1] if bad else None,
+                "coboundary": found is None,
+                "witness_cycle": [list(w) for w in found[0]] if found else None,
+                "witness_sum": found[1] if found else None,
             }
         )
-        return 0 if not bad else NEGATIVE_VERDICT
+        return 0 if found is None else NEGATIVE_VERDICT
     b = solve_potential(A, g)
     _emit({"potential": b.as_dict()})
     return 0

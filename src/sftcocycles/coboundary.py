@@ -3,14 +3,20 @@
 An integer function g on the shift is a coboundary, g = b(sigma .) - b
 for some locally constant b, exactly when its sums over all periodic
 orbits vanish; for a depth-K function the periodic orbits are the
-directed cycles of the K-block graph, and simple cycles generate all of
-them.  The solver propagates a potential over a spanning tree of that
-graph and verifies every edge, so a successful answer is certified, and
-the classifier uses it to sort potentials into the three special shapes
-(positive constants, symbol-set indicators, unit coboundaries).
+directed cycles of the K-block graph.  The decision never lists those
+cycles.  A potential propagated over a spanning forest either fits
+every edge, and then every cycle sum is zero, or it does not, and then
+a min/max walk-sum recursion over lengths 1, 2, ... finds the shortest
+cycle with a nonzero sum, which serves as the certified witness.  The
+solver verifies every edge and the recomposed coboundary, so a
+successful answer is certified too, and the classifier uses it to sort
+potentials into the three special shapes (positive constants,
+symbol-set indicators, unit coboundaries).  :func:`cycle_sums` remains
+as a small capped report of every simple cycle, for display and for
+cross-checks; no decision relies on it.
 """
 
-import networkx as nx
+import numpy as np
 
 from .sft import higher_block
 from .locfun import LocFun, coboundary_transform
@@ -19,6 +25,7 @@ __all__ = [
     "NotCoboundaryError",
     "PotentialClass",
     "cycle_sums",
+    "shortest_nonzero_cycle",
     "solve_potential",
     "classify_potential",
 ]
@@ -43,62 +50,53 @@ def _block_weights(A, g):
     return block, labels, weights
 
 
-def _rotate_min(cycle):
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
-
-
 def cycle_sums(A, g, cycle_cap=10**6):
     """All simple cycles of the block graph of g, with their g-sums.
 
     Each cycle is returned as a tuple of block vertices (words), rotated
     to start at its least vertex, and paired with the sum of g over one
-    traversal.  The function is a coboundary iff every sum is zero.
-    Enumeration is capped; pathological inputs raise instead of hanging.
+    traversal; the list is sorted by length, then lexicographically.
+    The function is a coboundary iff every sum is zero.  This is a
+    report for small graphs: a depth-first search from each vertex
+    through larger vertices lists every cycle, and past ``cycle_cap``
+    cycles it raises ``ValueError``.  Deciding the question needs only
+    :func:`shortest_nonzero_cycle`.
     """
     block, labels, weights = _block_weights(A, g)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(labels)
-    for a, wa in enumerate(labels, 1):
-        for b in block.followers(a):
-            graph.add_edge(wa, labels[b - 1])
     out = []
-    for count, cycle in enumerate(nx.simple_cycles(graph)):
-        if count >= cycle_cap:
-            raise ValueError(
-                "more than %d simple cycles; raise cycle_cap to proceed" % cycle_cap
-            )
-        cyc = _rotate_min(tuple(cycle))
-        out.append((cyc, sum(weights[w] for w in cyc)))
+    for root in range(1, len(labels) + 1):
+        path, on_path = [root], {root}
+        stack = [iter(block.followers(root))]
+        while stack:
+            for v in stack[-1]:
+                if v == root:
+                    if len(out) >= cycle_cap:
+                        raise ValueError(
+                            "more than %d simple cycles; raise cycle_cap to proceed"
+                            % cycle_cap
+                        )
+                    cyc = tuple(labels[u - 1] for u in path)
+                    out.append((cyc, sum(weights[w] for w in cyc)))
+                elif v > root and v not in on_path:
+                    path.append(v)
+                    on_path.add(v)
+                    stack.append(iter(block.followers(v)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
     out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
 
 
-def solve_potential(A, g, cycle_cap=10**6):
-    """Solve g = b(sigma .) - b for a locally constant potential b.
+def _forest_potential(block, labels, weights):
+    """A potential with beta(v) - beta(u) = g(u) on every edge u -> v, or None.
 
-    The potential is built on the block-graph vertices by spanning-tree
-    propagation from the least vertex (treating edges undirected, so
-    reducible matrices are covered too), then every edge is verified and
-    the recomposed coboundary is compared against g.  The result is
-    base-normalized: the lexicographically least word maps to 0.
-
-    Raises
-    ------
-    NotCoboundaryError
-        If some simple cycle has a nonzero sum (the witness cycle is
-        attached), or if no locally constant potential exists.
+    The potential is propagated from the least vertex of each weak
+    component over a spanning tree (edges taken undirected, so
+    reducible matrices are covered too); None means some edge
+    contradicts it.
     """
-    block, labels, weights = _block_weights(A, g)
-
-    def fail():
-        for cyc, total in cycle_sums(A, g, cycle_cap=cycle_cap):
-            if total != 0:
-                raise NotCoboundaryError(
-                    "cycle %r has sum %d != 0" % (list(cyc), total), witness=cyc
-                )
-        raise NotCoboundaryError("no locally constant potential exists")
-
     forward = {w: [labels[b - 1] for b in block.followers(a)] for a, w in enumerate(labels, 1)}
     backward = {w: [labels[a - 1] for a in block.predecessors(b)] for b, w in enumerate(labels, 1)}
     beta = {}
@@ -120,8 +118,139 @@ def solve_potential(A, g, cycle_cap=10**6):
     for wa in labels:
         for wb in forward[wa]:
             if beta[wb] - beta[wa] != weights[wa]:
-                fail()
-    b = LocFun(A, g.depth, {w: beta[w] for w in labels}).base_normalized()
+                return None
+    return beta
+
+
+def _return_sums(succ, w, targets, bound):
+    """Min and max g-sums of the walks that end at each target, by length.
+
+    Yields, for the lengths 1, 2, ..., a pair of arrays whose entry
+    (i, v) is the least and the greatest sum of ``w`` over the vertices
+    of a walk of that length from v to ``targets[i]``, the final vertex
+    not counted.  Row v of ``succ`` lists the successors of v, padded to
+    a common width by repeating one of them.  ``bound`` is the number of
+    vertices V times the largest ``abs(w)``, so it bounds the sum of
+    every walk of length at most V.  A missing walk starts at
+    ``2 * bound + 1`` and moves by at most ``max(abs(w))`` per step, so
+    up to length V an entry beyond ``bound`` means no walk of that
+    length exists.  The arithmetic is exact: int64 while every value,
+    at most ``4 * bound + 1`` in absolute value, fits, and Python
+    integers otherwise.
+    """
+    dtype = np.int64 if 4 * bound + 1 < 2**63 else object
+    w = np.array(w, dtype=dtype)
+
+    def step(sums, pick):
+        out = sums.take(succ[:, 0], axis=1)
+        for col in succ[:, 1:].T:
+            pick(out, sums.take(col, axis=1), out=out)
+        out += w
+        return out
+
+    lo = np.full((len(targets), len(w)), 2 * bound + 1, dtype=dtype)
+    lo[np.arange(len(targets)), targets] = 0
+    hi = -lo
+    while True:
+        lo, hi = step(lo, np.minimum), step(hi, np.maximum)
+        yield lo, hi
+
+
+def shortest_nonzero_cycle(A, g):
+    """The shortest simple cycle of the block graph of g with nonzero g-sum.
+
+    Returns ``(cycle, total)``, the cycle as a tuple of block vertices
+    (words) rotated to start at its least vertex, or None when every
+    cycle sum is zero, that is, when g is a coboundary on every
+    periodic orbit.  Ties are broken as in :func:`cycle_sums`: the
+    witness is its first entry with a nonzero sum.
+
+    A shortest closed walk with nonzero sum is a simple cycle: at a
+    repeated vertex it would split into two shorter closed walks, one
+    of them with nonzero sum.  So the min and max sums of the closed
+    walks through each vertex, for the lengths L = 1, 2, ..., fix the
+    witness length L and its least vertex s at the first (L, s) where
+    they are not both 0, and the least cycle through s is then chosen
+    edge by edge, keeping a nonzero completion reachable.  This takes
+    O(V * L * E) exact integer steps on V vertices and E edges, and
+    O(V * V) memory.  A potential that fits every edge answers None in
+    linear time first.
+
+    Examples
+    --------
+    >>> from sftcocycles import TransitionMatrix
+    >>> golden = TransitionMatrix([[1, 1], [1, 0]])
+    >>> shortest_nonzero_cycle(golden, LocFun(golden, 1, {(1,): 0, (2,): 1}))
+    (((1,), (2,)), 1)
+    >>> shortest_nonzero_cycle(golden, LocFun.constant(golden, 0)) is None
+    True
+    """
+    block, labels, weights = _block_weights(A, g)
+    if _forest_potential(block, labels, weights) is not None:
+        return None
+    n = len(labels)
+    w = [weights[x] for x in labels]
+    follow = [[b - 1 for b in block.followers(a)] for a in range(1, n + 1)]
+    width = max(map(len, follow))
+    succ = np.array([vs + vs[:1] * (width - len(vs)) for vs in follow])
+    bound = n * max(map(abs, w))
+    for length, (lo, hi) in zip(range(1, n + 1), _return_sums(succ, w, np.arange(n), bound)):
+        closed_lo, closed_hi = lo.diagonal(), hi.diagonal()
+        hits = np.flatnonzero((closed_lo <= bound) & ((closed_lo != 0) | (closed_hi != 0)))
+        if hits.size:
+            s = int(hits[0])
+            break
+    else:
+        # Every simple cycle sums to 0; only edges outside all cycles
+        # contradict the potential (a reducible matrix).
+        return None
+    sums = _return_sums(succ, w, [s], bound)
+    tails = [next(sums) for _ in range(length - 1)]
+    cycle, total = [s], w[s]
+    for lo, hi in reversed(tails):
+        # The least successor from which some walk of the remaining
+        # length closes the cycle at s with a nonzero total.
+        lo, hi = lo[0], hi[0]
+        v = next(
+            v for v in follow[cycle[-1]]
+            if lo[v] <= bound and not lo[v] == hi[v] == -total
+        )
+        cycle.append(v)
+        total += w[v]
+    return tuple(labels[v] for v in cycle), total
+
+
+def solve_potential(A, g):
+    """Solve g = b(sigma .) - b for a locally constant potential b.
+
+    The potential is built on the block-graph vertices by spanning-tree
+    propagation from the least vertex (treating edges undirected, so
+    reducible matrices are covered too), then every edge is verified and
+    the recomposed coboundary is compared against g.  The result is
+    base-normalized: the lexicographically least word maps to 0.
+
+    Raises
+    ------
+    NotCoboundaryError
+        If some cycle has a nonzero sum (the shortest such cycle, from
+        :func:`shortest_nonzero_cycle`, is attached as the witness), or
+        if no locally constant potential exists.
+    """
+
+    def fail():
+        found = shortest_nonzero_cycle(A, g)
+        if found is not None:
+            cyc, total = found
+            raise NotCoboundaryError(
+                "cycle %r has sum %d != 0" % (list(cyc), total), witness=cyc
+            )
+        raise NotCoboundaryError("no locally constant potential exists")
+
+    block, labels, weights = _block_weights(A, g)
+    beta = _forest_potential(block, labels, weights)
+    if beta is None:
+        fail()
+    b = LocFun(A, g.depth, beta).base_normalized()
     if coboundary_transform(b) - 1 != g:
         fail()
     return b

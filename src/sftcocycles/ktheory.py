@@ -10,6 +10,8 @@ detection; the Perron value is the one floating-point quantity, used
 only for reports.
 """
 
+from operator import mul
+
 import numpy as np
 
 from .sft import is_irreducible
@@ -23,7 +25,7 @@ __all__ = [
 
 
 def _int_rows(M):
-    rows = [[int(v) for v in row] for row in np.asarray(M, dtype=object).tolist()]
+    rows = [list(map(int, row)) for row in np.asarray(M, dtype=object).tolist()]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
     return rows
@@ -165,15 +167,14 @@ def dimension_report(M, levels):
     rows = _int_rows(M)
     if levels < 1:
         raise ValueError("need at least one level")
-    if any(v < 0 for row in rows for v in row):
+    if any(min(row, default=0) < 0 for row in rows):
         raise ValueError("inclusion matrices are nonnegative")
     size = len(rows)
+    cols = list(zip(*rows))
     vectors = [[1] * size]
     for _ in range(levels - 1):
         prev = vectors[-1]
-        vectors.append(
-            [sum(rows[r][c] * prev[r] for r in range(size)) for c in range(size)]
-        )
+        vectors.append([sum(map(mul, col, prev)) for col in cols])
     totals = [sum(v) for v in vectors]
     ratios = [
         round(b / a, 12) for a, b in zip(totals, totals[1:]) if a

@@ -213,10 +213,7 @@ def _normalize(depth, table):
 
 def make_chi_H(A, H):
     """The depth-1 indicator of the symbol set H (1 on H, 0 elsewhere)."""
-    H = set(H)
-    for s in H:
-        if not (isinstance(s, int) and 1 <= s <= A.n):
-            raise ValueError("symbol %r out of range" % (s,))
+    H = A.check_symbols(H)
     return LocFun(A, 1, {(i,): (1 if i in H else 0) for i in range(1, A.n + 1)})
 
 

@@ -282,7 +282,9 @@ class TransitionMatrix:
         n, sets = self.n, self._follower_sets
         prev = None
         for s in word:
-            if not (isinstance(s, int) and 1 <= s <= n):
+            # ``type(s) is int`` is the symbol test of check_symbols: it
+            # refuses bool, whose True would otherwise pass as symbol 1.
+            if not (type(s) is int and 1 <= s <= n):
                 return False
             if prev is not None and s not in sets[prev - 1]:
                 return False
@@ -294,6 +296,14 @@ class TransitionMatrix:
         if not self.is_admissible(word):
             raise ValueError("word %r is not admissible for this matrix" % (word,))
         return word
+
+    def check_symbols(self, symbols):
+        """The symbols as a frozenset, each an ``int`` (not a ``bool``) in 1..n."""
+        symbols = tuple(symbols)  # checked before a set could merge True into 1
+        for s in symbols:
+            if not (type(s) is int and 1 <= s <= self.n):
+                raise ValueError("symbol %r out of range" % (s,))
+        return frozenset(symbols)
 
     def same_matrix(self, other):
         return self is other or (
@@ -333,8 +343,8 @@ def enumerate_words(A, m, after=None):
     """
     if m < 0:
         raise ValueError("word length must be nonnegative")
-    if after is not None and not (isinstance(after, int) and 1 <= after <= A.n):
-        raise ValueError("symbol %r out of range" % (after,))
+    if after is not None:
+        A.check_symbols((after,))
     if m == 0:
         return [()]
     first = range(1, A.n + 1) if after is None else A.followers(after)
@@ -378,10 +388,7 @@ def has_cycle_within(A, symbols):
     is acyclic.  The full symbol set always yields a cycle, because a
     valid matrix has no zero row.
     """
-    allowed = set(symbols)
-    for s in allowed:
-        if not (isinstance(s, int) and 1 <= s <= A.n):
-            raise ValueError("symbol %r out of range" % (s,))
+    allowed = A.check_symbols(symbols)
     best = None
     for start in sorted(allowed):
         # BFS with children expanded in ascending order finds, for each

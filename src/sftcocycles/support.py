@@ -44,14 +44,6 @@ class NotSaturatedError(ValueError):
         self.witness = witness
 
 
-def _check_symbols(A, H):
-    H = frozenset(H)
-    for s in H:
-        if not (isinstance(s, int) and 1 <= s <= A.n):
-            raise ValueError("symbol %r out of range" % (s,))
-    return H
-
-
 def is_saturated(A, H):
     """True iff every cycle of the transition graph meets H.
 
@@ -60,7 +52,7 @@ def is_saturated(A, H):
     :func:`has_cycle_within` produces that witness.  The empty set is
     never saturated for a valid matrix (a cycle always exists).
     """
-    H = _check_symbols(A, H)
+    H = A.check_symbols(H)
     complement = set(range(1, A.n + 1)) - H
     return has_cycle_within(A, complement) is None
 
@@ -104,7 +96,7 @@ def sigma_family(A, H):
         If H is empty (the support algebra for the empty set is the full
         Cuntz-Krieger algebra, not an AF situation).
     """
-    H = _check_symbols(A, H)
+    H = A.check_symbols(H)
     if not H:
         raise ValueError("empty symbol sets have no first-passage family")
     complement = set(range(1, A.n + 1)) - H
@@ -202,7 +194,7 @@ def weight_word_census(A, H, n, len_cap):
     (N+1)(n+1) + 2 this window is conclusive, since in a saturated graph
     every longer word already exceeds the weight.
     """
-    H = _check_symbols(A, H)
+    H = A.check_symbols(H)
     if n < 1 or len_cap < 1:
         raise ValueError("weight and length cap must be positive")
     weight_cap = n + 1  # weights above n collapse into one bucket

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
 
@@ -270,6 +272,24 @@ def test_coboundary_check_and_solve(files, capsys):
     assert code == 3
 
 
+def test_coboundary_check_deep_general_potential(tmp_path, capsys, files):
+    # A depth-6 general potential over the full 2-shift: the check must
+    # answer with a witness instead of running into a cycle-count cap.
+    rng = random.Random(6)
+    values = {w: rng.randint(-2, 2) for w in itertools.product((1, 2), repeat=6)}
+    path = tmp_path / "g6.json"
+    path.write_text(json.dumps(
+        {"depth": 6, "values": {",".join(map(str, w)): v for w, v in values.items()}}
+    ))
+    code, doc = run(
+        capsys, "coboundary", "check", "--matrix", files["full2.json"], "--fn", str(path)
+    )
+    assert code == 3 and doc["coboundary"] is False
+    cyc = [tuple(w) for w in doc["witness_cycle"]]
+    assert all(a[1:] == b[:-1] for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    assert doc["witness_sum"] == sum(values[w] for w in cyc) != 0
+
+
 def test_coboundary_solve_success(files, tmp_path, capsys):
     doc = {"depth": 2, "values": {"1,1": 0, "1,2": -1, "2,1": 1, "2,2": 0}}
     path = tmp_path / "g.json"
@@ -350,3 +370,9 @@ def test_console_entry_point(files):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["irreducible"] is True
+
+
+def test_import_does_not_load_networkx():
+    code = "import sftcocycles, sftcocycles.cli, sys; assert 'networkx' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

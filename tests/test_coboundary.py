@@ -11,6 +11,7 @@ from sftcocycles import (
     enumerate_words,
     make_chi_H,
     membership_split,
+    shortest_nonzero_cycle,
     solve_potential,
 )
 
@@ -132,3 +133,37 @@ def test_solve_on_disconnected_block_graph():
     with pytest.raises(NotCoboundaryError) as info:
         solve_potential(ident, skew)
     assert info.value.witness == ((1,),)
+
+
+@pytest.mark.parametrize("depth", [6, 7])
+def test_classify_deep_general_potential(full2, depth):
+    # The block graphs have 64 and 128 vertices and far more than a
+    # million simple cycles; the refusal must not enumerate them.
+    rng = random.Random(depth)
+    f = LocFun(full2, depth, {w: rng.randint(-2, 2) for w in enumerate_words(full2, depth)})
+    cls = classify_potential(full2, f)
+    assert cls.kind == "general" and cls.kinds == ()
+    with pytest.raises(NotCoboundaryError) as info:
+        solve_potential(full2, f - 1)
+    cyc = info.value.witness
+    assert all(a[1:] == b[:-1] for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+    assert cyc[0] == min(cyc)
+    assert sum(f.table[w] - 1 for w in cyc) != 0
+    assert shortest_nonzero_cycle(full2, f - 1)[0] == cyc
+
+
+def test_depth_ten_single_obstruction(full2):
+    # b(sigma .) - b plus the indicator of the word 1 2^9: every cycle
+    # sum counts the visits to that word, so the only obstructions run
+    # through it, and the shortest is its own period-10 orbit.
+    rng = random.Random(10)
+    b = LocFun(full2, 9, {w: rng.randint(-3, 3) for w in enumerate_words(full2, 9)})
+    word = (1,) + (2,) * 9
+    g = b.shifted() - b + LocFun.indicator_cylinder(full2, word)
+    cycle, total = shortest_nonzero_cycle(full2, g)
+    assert total == 1
+    assert cycle == tuple(word[i:] + word[:i] for i in range(10))
+    with pytest.raises(NotCoboundaryError) as info:
+        solve_potential(full2, g)
+    assert info.value.witness == cycle
+    assert shortest_nonzero_cycle(full2, b.shifted() - b) is None

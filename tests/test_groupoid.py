@@ -276,3 +276,12 @@ def test_minimality_verdict_requires_irreducible():
     swap = TransitionMatrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="permutation"):
         minimality_verdict(swap, LocFun.constant(swap, 0))
+
+
+def test_minimality_verdict_deep_general_potential(full2):
+    # A general depth-6 potential: the classifier's refusal path must
+    # not enumerate the simple cycles of the 64-vertex block graph.
+    rng = random.Random(6)
+    f = LocFun(full2, 6, {w: rng.randint(-2, 2) for w in enumerate_words(full2, 6)})
+    verdict = minimality_verdict(full2, f)
+    assert verdict.kind == "unknown" and not verdict.certified

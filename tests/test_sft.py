@@ -7,6 +7,8 @@ from sftcocycles import (
     enumerate_words,
     has_cycle_within,
     higher_block,
+    is_saturated,
+    make_chi_H,
 )
 
 from conftest import words_up_to
@@ -149,3 +151,21 @@ def test_point_spec_window_and_prepend(golden):
 def test_words_up_to_helper(golden):
     words = words_up_to(golden, 3)
     assert len(words) == 2 + 3 + 5
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_is_not_a_symbol(golden, flag):
+    # True == 1 and False == 0, but neither is a symbol.
+    assert not golden.is_admissible((flag, 2))
+    with pytest.raises(ValueError):
+        golden.check_word((flag, 2))
+    with pytest.raises(ValueError):
+        golden.check_symbols([1, flag])
+    with pytest.raises(ValueError):
+        enumerate_words(golden, 1, after=flag)
+    with pytest.raises(ValueError):
+        has_cycle_within(golden, {flag})
+    with pytest.raises(ValueError):
+        make_chi_H(golden, {flag})
+    with pytest.raises(ValueError):
+        is_saturated(golden, {flag})
