@@ -18,6 +18,7 @@ and minimality search are built on top of it.
 
 from .sft import (
     PointSpec,
+    _is_integer,
     enumerate_words,
     has_cycle_within,
     is_primitive,
@@ -119,10 +120,19 @@ def compose(z1, z2):
     mu, nu = z1.mu, z1.nu
     xi, eta = z2.mu, z2.nu
     if xi[: len(nu)] == nu:
-        return Bisection(mu + xi[len(nu) :], eta)
+        return _end_matched(mu + xi[len(nu) :], eta)
     if nu[: len(xi)] == xi:
-        return Bisection(mu, eta + nu[len(xi) :])
+        return _end_matched(mu, eta + nu[len(xi) :])
     return None
+
+
+def _end_matched(mu, nu):
+    # A Bisection from nonempty word tuples already known to be
+    # end-matched, skipping the constructor's checks.
+    z = object.__new__(Bisection)
+    z.mu = mu
+    z.nu = nu
+    return z
 
 
 def invert(z):
@@ -250,6 +260,12 @@ class MinimalityWitness:
         return "MinimalityWitness(x=%r, k=%d, l=%d)" % (self.x, self.k, self.l)
 
 
+def _check_bounds(k_max, value_max):
+    for name, value in (("k_max", k_max), ("value_max", value_max)):
+        if not (_is_integer(value) and value >= 0):
+            raise ValueError("%s must be a nonnegative integer, not %r" % (name, value))
+
+
 def minimality_search(A, f, z, mu, k_max=24, value_max=64):
     """Breadth-first search for a witness connecting U_mu to the orbit of z.
 
@@ -257,72 +273,94 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
     mu and splice positions l, exhaustively up to k <= k_max, l <= k_max
     and partial cocycle sums bounded by value_max.  Returns the witness
     least in the order (k, l, path), or None when the bounds are
-    exhausted; None does not certify that no witness exists.
+    exhausted; None does not certify that no witness exists.  Both
+    bounds must be nonnegative integers.
 
     The frontier is deduplicated on (last symbols, partial sum) states,
     which keeps the search polynomial while preserving the least
     witness: whether a path can be completed depends only on its state.
+    A state's sum already covers the windows inside its path, so a
+    splice adds only the at most K - 1 windows that start in the suffix
+    and read into z, and each (suffix, l) pair is one dictionary lookup
+    of the state whose sum completes f^l(z).  The cost is
+    O(k_max * (states * n + k_max * suffixes * K)) table lookups, for at
+    most `states` frontier states over `suffixes` distinct suffixes at
+    any length, depth K and alphabet size n.
     """
+    _check_bounds(k_max, value_max)
     mu = A.check_word(mu)
     if not mu:
         raise ValueError("mu must be nonempty")
     m, K = len(mu), f.depth
-    max_abs = max(abs(v) for v in f.table.values())
+    table = f.table
+    max_abs = max(abs(v) for v in table.values())
     budget = value_max + (K - 1) * max_abs
 
-    z_prefix = z.window(0, k_max + K)
-    fz = [cocycle_sum(f, z_prefix, l) for l in range(k_max + 1)]
+    # Every symbol of z that a splice at l <= k_max reads, and the sums
+    # fz[l] = f^l(z).
+    z_prefix = f.matrix.check_word(z.window(0, k_max + max(K, m)))
+    fz = [0]
+    for l in range(k_max):
+        fz.append(fz[l] + table[z_prefix[l : l + K]])
+
+    def splice_sum(p, l):
+        # f^|p| on the cylinder of p . sigma^l(z): the windows starting in p.
+        w = p + z_prefix[l : l + K]
+        return sum(table[w[i : i + K]] for i in range(len(p)))
 
     def build(p, l):
         witness = MinimalityWitness(z.shift(l).prepend(p), len(p), l)
-        assert witness.verify(A, f, z, mu)
+        if not witness.verify(A, f, z, mu):
+            raise RuntimeError("minimality witness %r failed verification" % (witness,))
         return witness
 
-    def check(p, l):
-        k = len(p)
-        if k == 0:
-            if z.window(l, m) != mu or fz[l] != 0:
-                return None
-            return build((), l)
-        if k < m and z.window(l, m - k) != mu[k:]:
-            return None
-        if z.symbol(l + 1) not in A.follower_set(p[-1]):
-            return None
-        value = cocycle_sum(f, p + z.window(l, K), k)
-        if abs(value) > value_max or value != fz[l]:
-            return None
-        return build(p, l)
-
     # Forced phase: with k < |mu| the path must be a prefix of mu and the
-    # spliced tail must supply the rest of mu.
+    # spliced tail must supply the rest of mu (which also makes the
+    # junction admissible).
     for k in range(0, min(m, k_max + 1)):
         p = mu[:k]
         for l in range(k_max + 1):
-            found = check(p, l)
-            if found:
-                return found
+            if (
+                z_prefix[l : l + m - k] == mu[k:]
+                and abs(fz[l]) <= value_max
+                and splice_sum(p, l) == fz[l]
+            ):
+                return build(p, l)
     if k_max < m:
         return None
 
     suffix_len = max(1, K - 1)
     base_sum = (
-        sum(f.table[mu[i : i + K]] for i in range(m - K + 1)) if m >= K else 0
+        sum(table[mu[i : i + K]] for i in range(m - K + 1)) if m >= K else 0
     )
     frontier = {(mu[-suffix_len:], base_sum): mu}
     for k in range(m, k_max + 1):
-        ordered = sorted(frontier.items(), key=lambda item: item[1])
+        suffixes = {suffix for suffix, _ in frontier}
         for l in range(k_max + 1):
-            for _, p in ordered:
-                found = check(p, l)
-                if found:
-                    return found
+            if abs(fz[l]) > value_max:
+                continue
+            head = z_prefix[l]
+            found = []
+            for suffix in suffixes:
+                if head not in A.follower_set(suffix[-1]):
+                    continue
+                # With K = 1 the suffix's own window is already in the sum.
+                boundary = splice_sum(suffix, l) if K > 1 else 0
+                p = frontier.get((suffix, fz[l] - boundary))
+                if p is not None:
+                    found.append(p)
+            if found:
+                return build(min(found), l)
         if k == k_max:
             break
+        # The frontier iterates in ascending path order: paths are
+        # extended in that order by ascending followers, so the first
+        # path to reach a state, the one kept, is its least.
         nxt = {}
-        for (suffix, total), p in ordered:
+        for (suffix, total), p in frontier.items():
             for j in A.followers(suffix[-1]):
                 window = (suffix + (j,))[-K:]
-                new_total = total + (f.table[window] if k + 1 >= K else 0)
+                new_total = total + (table[window] if k + 1 >= K else 0)
                 if abs(new_total) > budget:
                     continue
                 state = ((suffix + (j,))[-suffix_len:], new_total)
@@ -417,8 +455,9 @@ def minimality_verdict(A, f, k_max=24, value_max=64, grid_size=5):
     from cylinders that meet the set).  Otherwise a deterministic grid
     of (z, mu) pairs is searched: exhausted pairs are reported as
     uncertified non-minimality evidence, and full success on the sample
-    returns "unknown".
+    returns "unknown".  Both search bounds must be nonnegative integers.
     """
+    _check_bounds(k_max, value_max)
     if not A.irreducible:
         raise ValueError("minimality verdict requires an irreducible matrix")
     if A.permutation:

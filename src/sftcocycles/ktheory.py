@@ -14,7 +14,7 @@ from operator import mul
 
 import numpy as np
 
-from .sft import is_irreducible
+from .sft import _check_integer_row, is_irreducible
 
 __all__ = [
     "smith_normal_form",
@@ -25,10 +25,13 @@ __all__ = [
 
 
 def _int_rows(M):
-    rows = [list(map(int, row)) for row in np.asarray(M, dtype=object).tolist()]
+    """The matrix as rows of Python ints, refusing any non-integer entry."""
+    rows = np.asarray(M, dtype=object).tolist()
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    return rows
+    for i, row in enumerate(rows, 1):
+        _check_integer_row(i, row)
+    return [list(map(int, row)) for row in rows]
 
 
 def _identity(n):

@@ -63,17 +63,22 @@ def _entry_rows(entries):
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("transition matrix must be a square 2-D array")
     for i, row in enumerate(rows, 1):
-        # Checking the distinct types of a row first keeps the common
-        # all-int case free of a per-entry Python call.
-        kinds = set(map(type, row))
-        if bool in kinds or not all(issubclass(k, (int, np.integer)) for k in kinds):
-            j = next(j for j, v in enumerate(row, 1) if not _is_integer(v))
-            raise ValueError(
-                "matrix entry (%d, %d) is %r, not an integer" % (i, j, row[j - 1])
-            )
+        _check_integer_row(i, row)
         if not set(row) <= {0, 1}:
             raise ValueError("transition matrix entries must all be 0 or 1")
     return rows
+
+
+def _check_integer_row(i, row):
+    """Refuse any entry of row i that is not a genuine integer, naming its cell."""
+    # Checking the distinct types of the row first keeps the common
+    # all-int case free of a per-entry Python call.
+    kinds = set(map(type, row))
+    if bool in kinds or not all(issubclass(k, (int, np.integer)) for k in kinds):
+        j = next(j for j, v in enumerate(row, 1) if not _is_integer(v))
+        raise ValueError(
+            "matrix entry (%d, %d) is %r, not an integer" % (i, j, row[j - 1])
+        )
 
 
 def _graph(entries):

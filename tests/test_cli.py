@@ -235,6 +235,21 @@ def test_minimal_requires_irreducible(files, capsys):
     assert code == 2 and "irreducible" in err
 
 
+@pytest.mark.parametrize(
+    "bounds", [["--k-max", "-1"], ["--value-max", "-5"]]
+)
+@pytest.mark.parametrize("point", [[], ["--point", ":2", "--mu", "1"]])
+def test_minimal_negative_bound_is_validation_error(files, capsys, bounds, point):
+    code = main(
+        ["minimal", "--matrix", files["full2.json"], "--fn", files["chi1.json"]]
+        + point
+        + bounds
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "nonnegative integer" in captured.err
+
+
 def test_coboundary_check_and_solve(files, capsys):
     code, doc = run(
         capsys,

@@ -5,6 +5,7 @@ import pytest
 from sftcocycles import (
     Bisection,
     LocFun,
+    MinimalityWitness,
     PointSpec,
     canonicalize,
     coboundary_transform,
@@ -285,3 +286,24 @@ def test_minimality_verdict_deep_general_potential(full2):
     f = LocFun(full2, 6, {w: rng.randint(-2, 2) for w in enumerate_words(full2, 6)})
     verdict = minimality_verdict(full2, f)
     assert verdict.kind == "unknown" and not verdict.certified
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [{"k_max": -1}, {"value_max": -5}, {"k_max": True}, {"k_max": 6.0}, {"value_max": None}],
+)
+def test_minimality_bounds_must_be_nonnegative_integers(full2, bounds):
+    chi = make_chi_H(full2, {1})
+    z = PointSpec(full2, (), (2,))
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        minimality_search(full2, chi, z, (1,), **bounds)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        minimality_verdict(full2, chi, **bounds)
+
+
+def test_minimality_witness_is_certified_without_assert(full2, monkeypatch):
+    # The certificate is checked by an explicit test, so it survives -O.
+    monkeypatch.setattr(MinimalityWitness, "verify", lambda *args: False)
+    one = LocFun.constant(full2, 1)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        minimality_search(full2, one, PointSpec(full2, (), (2,)), (1,))

@@ -150,3 +150,11 @@ def test_perron_periodic_fallback():
 def test_perron_rejects_reducible():
     with pytest.raises(ValueError, match="reducible"):
         perron_value([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", [2.7, 1.5, True, None])
+def test_entries_must_be_integers(bad):
+    with pytest.raises(ValueError, match=r"entry \(2, 1\) is .*not an integer"):
+        smith_normal_form([[2, 0], [bad, 1]])
+    with pytest.raises(ValueError, match=r"entry \(2, 1\) is .*not an integer"):
+        dimension_report([[1, 0], [bad, 1]], 2)
