@@ -96,8 +96,10 @@ def _load_locfun(A, path):
     doc = _load_json(path)
     if not isinstance(doc, dict) or "depth" not in doc or "values" not in doc:
         raise ValueError("function file needs 'depth' and 'values'")
+    if not isinstance(doc["values"], dict):
+        raise ValueError("function 'values' must be an object mapping words to integers")
     table = {_parse_word(key): value for key, value in doc["values"].items()}
-    return LocFun(A, int(doc["depth"]), table)
+    return LocFun(A, doc["depth"], table)
 
 
 def _load_code(path):

@@ -170,6 +170,14 @@ class MembershipSplit:
         )
 
 
+def _check_shift(A, f, z=None):
+    """Refuse a potential f, or a point z, that does not live on the shift A."""
+    if not A.same_matrix(f.matrix):
+        raise ValueError("f must live on the shift A")
+    if z is not None and not A.same_matrix(z.matrix):
+        raise ValueError("z must be a point of the shift A")
+
+
 def membership_split(A, f, z):
     """Split an end-matched bisection along the cocycle subgroupoid of f.
 
@@ -182,6 +190,7 @@ def membership_split(A, f, z):
     (|mu|, |nu|).  (The reduction is exercised against a brute-force
     membership oracle in the tests.)
     """
+    _check_shift(A, f)
     A.check_word(z.mu)
     A.check_word(z.nu)
     inside, outside = [], []
@@ -201,6 +210,7 @@ def generator_fixed(A, f, mu, nu):
     empty outside part.  A pair with no common follower is vacuously
     fixed (the product is the zero operator).
     """
+    _check_shift(A, f)
     return all(
         membership_split(A, f, piece).all_inside()
         for piece in canonicalize(A, mu, nu)
@@ -214,6 +224,7 @@ def expectation_support(A, f, mu, nu):
     inside pieces over all canonical pieces); this is the support of the
     range projection of the averaged generator.
     """
+    _check_shift(A, f)
     words = []
     for piece in canonicalize(A, mu, nu):
         split = membership_split(A, f, piece)
@@ -285,9 +296,11 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
     of the state whose sum completes f^l(z).  The cost is
     O(k_max * (states * n + k_max * suffixes * K)) table lookups, for at
     most `states` frontier states over `suffixes` distinct suffixes at
-    any length, depth K and alphabet size n.
+    any length, depth K and alphabet size n.  f and z must live on the
+    shift A.
     """
     _check_bounds(k_max, value_max)
+    _check_shift(A, f, z)
     mu = A.check_word(mu)
     if not mu:
         raise ValueError("mu must be nonempty")
@@ -455,9 +468,11 @@ def minimality_verdict(A, f, k_max=24, value_max=64, grid_size=5):
     from cylinders that meet the set).  Otherwise a deterministic grid
     of (z, mu) pairs is searched: exhausted pairs are reported as
     uncertified non-minimality evidence, and full success on the sample
-    returns "unknown".  Both search bounds must be nonnegative integers.
+    returns "unknown".  Both search bounds must be nonnegative integers,
+    and f must live on the shift A.
     """
     _check_bounds(k_max, value_max)
+    _check_shift(A, f)
     if not A.irreducible:
         raise ValueError("minimality verdict requires an irreducible matrix")
     if A.permutation:

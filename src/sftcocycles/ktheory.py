@@ -29,9 +29,10 @@ def _int_rows(M):
     rows = np.asarray(M, dtype=object).tolist()
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    for i, row in enumerate(rows, 1):
-        _check_integer_row(i, row)
-    return [list(map(int, row)) for row in rows]
+    for i, row in enumerate(rows):
+        if _check_integer_row(i + 1, row) != {int}:  # convert NumPy integers
+            rows[i] = list(map(int, row))
+    return rows
 
 
 def _identity(n):
@@ -39,11 +40,17 @@ def _identity(n):
 
 
 def _matmul(X, Y):
-    rows, inner, cols = len(X), len(Y), len(Y[0]) if Y else 0
-    return [
-        [sum(X[i][k] * Y[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    # Row i of X.Y is the sum of the rows of Y weighted by the nonzero
+    # entries of row i of X, so zeros of X cost one test each.
+    cols = len(Y[0]) if Y else 0
+    out = []
+    for xrow in X:
+        acc = [0] * cols
+        for x, yrow in zip(xrow, Y):
+            if x:
+                acc = [a + x * y for a, y in zip(acc, yrow)]
+        out.append(acc)
+    return out
 
 
 def smith_normal_form(M):
@@ -72,16 +79,14 @@ def smith_normal_form(M):
 
     def add_row(src, dst, q):
         # row_dst += q * row_src
-        for c in range(cols):
-            D[dst][c] += q * D[src][c]
-        for c in range(rows):
-            U[dst][c] += q * U[src][c]
+        D[dst] = [a + q * b for a, b in zip(D[dst], D[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     def add_col(src, dst, q):
-        for r in range(rows):
-            D[r][dst] += q * D[r][src]
-        for r in range(cols):
-            V[r][dst] += q * V[r][src]
+        for mat in (D, V):
+            for row in mat:
+                if row[src]:
+                    row[dst] += q * row[src]
 
     def negate_row(i):
         D[i] = [-v for v in D[i]]
@@ -89,11 +94,20 @@ def smith_normal_form(M):
 
     for t in range(min(rows, cols)):
         while True:
-            pivot = None
+            # The first entry of least absolute value in row-major order;
+            # no nonzero entry is smaller than a unit, so the scan stops
+            # at the first one.
+            pivot, least = None, None
             for i in range(t, rows):
+                row = D[i]
                 for j in range(t, cols):
-                    if D[i][j] != 0 and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    v = row[j]
+                    if v and (least is None or abs(v) < least):
+                        pivot, least = (i, j), abs(v)
+                        if least == 1:
+                            break
+                if least == 1:
+                    break
             if pivot is None:
                 break
             if pivot != (t, t):
@@ -114,6 +128,8 @@ def smith_normal_form(M):
                         dirty = True
             if dirty:
                 continue  # remainders became new, smaller pivot candidates
+            if least == 1:
+                break  # a unit divides every entry
             # enforce divisibility of the remaining block by the pivot
             offender = None
             for i in range(t + 1, rows):
@@ -129,7 +145,7 @@ def smith_normal_form(M):
         if t < rows and t < cols and D[t][t] < 0:
             negate_row(t)
 
-    check = _matmul(_matmul(U, _int_rows(M)), V)
+    check = _matmul(U, _matmul(_int_rows(M), V))
     if check != D:
         raise RuntimeError("Smith form self-check failed: U.M.V != D")
     return D, U, V

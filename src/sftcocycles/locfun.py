@@ -14,7 +14,7 @@ equal iff their normalized tables coincide.  Everything here is pure
 and immutable.
 """
 
-from .sft import TransitionMatrix, enumerate_words
+from .sft import TransitionMatrix, _integer_kinds, _is_integer, enumerate_words
 
 __all__ = [
     "LocFun",
@@ -52,8 +52,11 @@ class LocFun:
     table : dict
         Total mapping from every admissible `depth`-word to an integer.
 
-    The constructor normalizes to the minimal depth representing the
-    same function, so equality of functions is equality of tables.
+    The depth and every value must be genuine integers (a Python ``int``
+    other than ``bool``, or a NumPy integer); anything else is refused
+    with a ``ValueError`` naming it.  The constructor normalizes to the
+    minimal depth representing the same function, so equality of
+    functions is equality of tables.
 
     Examples
     --------
@@ -66,6 +69,10 @@ class LocFun:
     def __init__(self, matrix, depth, table):
         if not isinstance(matrix, TransitionMatrix):
             raise ValueError("matrix must be a TransitionMatrix")
+        if type(depth) is not int:
+            if not _is_integer(depth):
+                raise ValueError("depth must be an integer, not %r" % (depth,))
+            depth = int(depth)
         if depth < 1:
             raise ValueError("depth must be at least 1")
         words = enumerate_words(matrix, depth)
@@ -73,7 +80,13 @@ class LocFun:
         for w in words:
             if w not in table:
                 raise ValueError("table is missing the admissible word %r" % (w,))
-            cleaned[w] = int(table[w])
+            cleaned[w] = table[w]
+        kinds = _integer_kinds(cleaned.values())
+        if kinds is None:
+            w = next(w for w, v in cleaned.items() if not _is_integer(v))
+            raise ValueError("value on the word %r is %r, not an integer" % (w, cleaned[w]))
+        if kinds != {int}:  # convert NumPy integers
+            cleaned = {w: int(v) for w, v in cleaned.items()}
         if len(table) != len(words):
             extra = set(table) - set(words)
             raise ValueError("table has entries for inadmissible words: %r" % (sorted(extra),))
@@ -420,20 +433,28 @@ def _tail_form(h, word, drop):
 
 
 def _verify_full_group_identity(h, k1, l1):
+    # Every check_len-word is tested, but the rules, the offsets and k1,
+    # l1 read only its first `depth` symbols, and the words of one
+    # cylinder arrive together, so they are recomputed per cylinder.
     A = h.matrix
     depth = max(k1.depth, l1.depth, 1 + h.max_src)
     check_len = depth + h.max_dst + max(k1.max_value(), l1.max_value()) + 1
+    cyl = None
     for w in enumerate_words(A, check_len):
-        cyl = w[:depth]
-        kv, lv = k1.value_on(cyl), l1.value_on(cyl)
-        left_word, left_off = _tail_form(h, w[1:], kv)
-        left_off += 1
-        right_word, right_off = _tail_form(h, w, lv)
-        stream_left = left_word + w[left_off:]
-        stream_right = right_word + w[right_off:]
-        common = min(len(stream_left), len(stream_right))
-        if stream_left[:common] != stream_right[:common] or (
-            left_off - len(left_word) != right_off - len(right_word)
+        if w[:depth] != cyl:
+            cyl = w[:depth]
+            kv, lv = k1.value_on(cyl), l1.value_on(cyl)
+            left_word, left_off = _tail_form(h, w[1:], kv)
+            left_off += 1
+            right_word, right_off = _tail_form(h, w, lv)
+            same_offset = left_off - len(left_word) == right_off - len(right_word)
+            # With equal net offsets both streams read w at the same index
+            # past their explicit words, so only the first m symbols can
+            # differ; check_len leaves both streams at least m long.
+            m = max(len(left_word), len(right_word))
+        if not same_offset or (
+            (left_word + w[left_off : left_off + m])[:m]
+            != (right_word + w[right_off : right_off + m])[:m]
         ):
             raise TransferIdentityError(
                 "orbit-equivalence identity fails on the cylinder %r" % (cyl,),

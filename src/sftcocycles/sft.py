@@ -69,16 +69,35 @@ def _entry_rows(entries):
     return rows
 
 
-def _check_integer_row(i, row):
-    """Refuse any entry of row i that is not a genuine integer, naming its cell."""
-    # Checking the distinct types of the row first keeps the common
-    # all-int case free of a per-entry Python call.
-    kinds = set(map(type, row))
+_PLAIN_INT = frozenset({int})
+
+
+def _integer_kinds(values):
+    """The set of types of `values`, or None if one is not a genuine integer.
+
+    Checking the distinct types first keeps the common all-int case free
+    of a per-value Python call.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _PLAIN_INT:
+        return kinds
     if bool in kinds or not all(issubclass(k, (int, np.integer)) for k in kinds):
+        return None
+    return kinds
+
+
+def _check_integer_row(i, row):
+    """Refuse any entry of row i that is not a genuine integer, naming its cell.
+
+    Returns the set of the row's entry types.
+    """
+    kinds = _integer_kinds(row)
+    if kinds is None:
         j = next(j for j, v in enumerate(row, 1) if not _is_integer(v))
         raise ValueError(
             "matrix entry (%d, %d) is %r, not an integer" % (i, j, row[j - 1])
         )
+    return kinds
 
 
 def _graph(entries):

@@ -391,3 +391,25 @@ def test_import_does_not_load_networkx():
     code = "import sftcocycles, sftcocycles.cli, sys; assert 'networkx' not in sys.modules"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"depth": 1, "values": [1, 2]}, "'values' must be an object"),
+        ({"depth": 1, "values": {"1": None, "2": 0}}, "value on the word (1,)"),
+        ({"depth": 1, "values": {"1": 1.7, "2": 0}}, "value on the word (1,)"),
+        ({"depth": 1, "values": {"1": True, "2": 0}}, "value on the word (1,)"),
+        ({"depth": 1.5, "values": {"1": 1, "2": 0}}, "depth must be an integer"),
+        ({"depth": "1", "values": {"1": 1, "2": 0}}, "depth must be an integer"),
+    ],
+)
+def test_coboundary_check_non_integer_function_is_validation_error(
+    files, tmp_path, capsys, doc, message
+):
+    path = tmp_path / "bad_fn.json"
+    path.write_text(json.dumps(doc))
+    code = main(["coboundary", "check", "--matrix", files["gm.json"], "--fn", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err

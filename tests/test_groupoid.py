@@ -7,6 +7,7 @@ from sftcocycles import (
     LocFun,
     MinimalityWitness,
     PointSpec,
+    TransitionMatrix,
     canonicalize,
     coboundary_transform,
     compose,
@@ -307,3 +308,26 @@ def test_minimality_witness_is_certified_without_assert(full2, monkeypatch):
     one = LocFun.constant(full2, 1)
     with pytest.raises(RuntimeError, match="failed verification"):
         minimality_search(full2, one, PointSpec(full2, (), (2,)), (1,))
+
+
+def test_potential_and_point_must_live_on_the_shift(golden, full2):
+    # chi_{1} of the full 2-shift is not a function on the golden mean
+    # shift: it has a value on the word 2 2, which golden does not admit.
+    foreign = make_chi_H(full2, {1})
+    with pytest.raises(ValueError, match="f must live on the shift A"):
+        minimality_verdict(golden, foreign)
+    with pytest.raises(ValueError, match="f must live on the shift A"):
+        minimality_search(golden, foreign, PointSpec(golden, (), (1,)), (1,))
+    chi = make_chi_H(golden, {1})
+    with pytest.raises(ValueError, match="z must be a point of the shift A"):
+        minimality_search(golden, chi, PointSpec(full2, (), (1,)), (1,))
+    with pytest.raises(ValueError, match="f must live on the shift A"):
+        membership_split(golden, foreign, Bisection((1,), (2, 1)))
+    with pytest.raises(ValueError, match="f must live on the shift A"):
+        generator_fixed(golden, foreign, (1,), (2, 1))
+    with pytest.raises(ValueError, match="f must live on the shift A"):
+        expectation_support(golden, foreign, (1,), (2, 1))
+    # An equal matrix built separately is the same shift.
+    twin = TransitionMatrix([[1, 1], [1, 0]])
+    assert minimality_search(twin, chi, PointSpec(golden, (), (1,)), (1,)) is not None
+    assert generator_fixed(twin, chi, (1,), (1,))

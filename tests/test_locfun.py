@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sftcocycles import (
@@ -267,3 +268,23 @@ def test_locfun_serialization_round_trip(golden):
         {tuple(int(s) for s in k.split(",")): v for k, v in doc["values"].items()},
     )
     assert parsed == f
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, True, None, "1"])
+def test_values_must_be_integers(golden, bad):
+    table = {(1, 1): 0, (1, 2): bad, (2, 1): 0}
+    with pytest.raises(ValueError, match=r"value on the word \(1, 2\) is"):
+        LocFun(golden, 2, table)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, None, "1"])
+def test_depth_must_be_an_integer(golden, bad):
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        LocFun(golden, bad, {(1,): 0, (2,): 1})
+
+
+def test_numpy_integers_become_python_ints(golden):
+    f = LocFun(golden, np.int64(1), {(1,): np.int64(3), (2,): np.int8(-1)})
+    assert f.depth == 1 and type(f.depth) is int
+    assert f.table == {(1,): 3, (2,): -1}
+    assert all(type(v) is int for v in f.table.values())

@@ -1,0 +1,162 @@
+"""The per-cylinder orbit-equivalence check against the per-word check.
+
+`reference_verify` is `_verify_full_group_identity` as it was before the
+rules, offsets and (k1, l1) values were computed once per cylinder,
+kept verbatim.  Both must accept the same (h, k1, l1) data, and refuse
+the rest with the same message and witness cylinder.
+"""
+
+import random
+
+import pytest
+
+from sftcocycles import (
+    FullGroupElement,
+    LocFun,
+    TransferIdentityError,
+    TransitionMatrix,
+    enumerate_words,
+)
+from sftcocycles.locfun import _tail_form, _verify_full_group_identity
+
+
+def reference_verify(h, k1, l1):
+    A = h.matrix
+    depth = max(k1.depth, l1.depth, 1 + h.max_src)
+    check_len = depth + h.max_dst + max(k1.max_value(), l1.max_value()) + 1
+    for w in enumerate_words(A, check_len):
+        cyl = w[:depth]
+        kv, lv = k1.value_on(cyl), l1.value_on(cyl)
+        left_word, left_off = _tail_form(h, w[1:], kv)
+        left_off += 1
+        right_word, right_off = _tail_form(h, w, lv)
+        stream_left = left_word + w[left_off:]
+        stream_right = right_word + w[right_off:]
+        common = min(len(stream_left), len(stream_right))
+        if stream_left[:common] != stream_right[:common] or (
+            left_off - len(left_word) != right_off - len(right_word)
+        ):
+            raise TransferIdentityError(
+                "orbit-equivalence identity fails on the cylinder %r" % (cyl,),
+                witness=cyl,
+            )
+
+
+def outcome(verify, h, k1, l1):
+    try:
+        verify(h, k1, l1)
+    except TransferIdentityError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def random_element(rng, A, pieces):
+    """Two random cylinder partitions paired by last symbol, or None."""
+
+    def partition():
+        parts = [(i,) for i in range(1, A.n + 1)]
+        while len(parts) < pieces:
+            w = parts.pop(rng.randrange(len(parts)))
+            parts.extend(w + (j,) for j in A.followers(w[-1]))
+        return parts
+
+    src, dst = partition(), partition()
+    rng.shuffle(dst)
+    # Pair each source with an unused target of the same follower set.
+    rules = []
+    for s in src:
+        for d in dst:
+            if A.followers(d[-1]) == A.followers(s[-1]):
+                dst.remove(d)
+                rules.append((s, d))
+                break
+        else:
+            return None
+    return FullGroupElement(A, rules)
+
+
+def perturbations(rng, A, k1, l1):
+    """(k1, l1) itself, shifted together, and nonnegative changes.
+
+    One-sided changes move the net tail offset; lowering both values,
+    by one or down to zero on one side, keeps the offset and may break
+    the explicit prefix instead.
+    """
+    depth = max(k1.depth, l1.depth) + rng.randint(0, 1)
+    words = enumerate_words(A, depth)
+
+    def indicator(chosen):
+        return LocFun(A, depth, {w: int(w in chosen) for w in words})
+
+    bumps = [
+        indicator(rng.sample(words, rng.randint(1, min(3, len(words)))))
+        for _ in range(3)
+    ]
+    least = {w: min(k1.value_on(w), l1.value_on(w)) for w in words}
+    lowerable = [w for w in words if least[w] >= 1]
+    drops = [
+        indicator(rng.sample(lowerable, min(1, len(lowerable)))),
+        LocFun(A, depth, least),
+    ]
+    one = LocFun.constant(A, 1)
+    return [
+        (k1, l1),
+        (k1 + one, l1 + one),
+        (k1 + bumps[2], l1 + bumps[2]),
+        (k1 - drops[0], l1 - drops[0]),
+        (k1 - drops[1], l1 - drops[1]),
+        (k1, l1 + bumps[0]),
+        (k1 + bumps[1], l1),
+        (k1 + one, l1),
+    ]
+
+
+GOLDEN_ELEMENTS = [
+    [((1,), (1,)), ((2,), (2,))],
+    # swaps the cylinders of 1 1 and 2 1
+    [((1, 1), (2, 1)), ((1, 2), (1, 2)), ((2, 1), (1, 1))],
+    # 1 1 1 <-> 2 1 and 1 1 2 <-> 1 2
+    [((1, 1, 1), (2, 1)), ((1, 1, 2), (1, 2)), ((1, 2), (1, 1, 2)), ((2, 1), (1, 1, 1))],
+]
+
+
+@pytest.mark.parametrize("name, extra", [("full2", 2), ("golden", 3), ("zd3", 2)])
+def test_random_elements_match_reference(name, extra):
+    A = TransitionMatrix(
+        {
+            "full2": [[1, 1], [1, 1]],
+            "golden": [[1, 1], [1, 0]],
+            "zd3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        }[name]
+    )
+    rng = random.Random(name)
+    outcomes = []
+    while len(outcomes) < 14:
+        tau = random_element(rng, A, rng.randint(A.n, A.n + extra))
+        if tau is None:
+            continue
+        k1, l1 = tau.coe_pair()
+        results = []
+        for k, l in perturbations(rng, A, k1, l1):
+            expected = outcome(reference_verify, tau, k, l)
+            assert outcome(_verify_full_group_identity, tau, k, l) == expected
+            results.append(expected is None)
+        outcomes.append(results)
+    # The unperturbed and shifted pairs pass, the one-sided changes fail,
+    # and some lowered pairs fail with equal offsets.
+    assert all(r[:3] == [True] * 3 and r[5:] == [False] * 3 for r in outcomes)
+    assert not all(r[3] and r[4] for r in outcomes)
+
+
+@pytest.mark.parametrize("rules", GOLDEN_ELEMENTS)
+def test_golden_elements_match_reference(golden, rules):
+    tau = FullGroupElement(golden, rules)
+    k1, l1 = tau.coe_pair()
+    rng = random.Random(len(rules))
+    results = []
+    for k, l in perturbations(rng, golden, k1, l1):
+        expected = outcome(reference_verify, tau, k, l)
+        assert outcome(_verify_full_group_identity, tau, k, l) == expected
+        results.append(expected)
+    assert results[:3] == [None] * 3
+    assert results[-1] is not None
