@@ -28,7 +28,6 @@ from .locfun import (
     make_chi_H,
     cocycle_sum,
     coboundary_transform,
-    eval_on_point,
     psi_transfer,
 )
 from .groupoid import (

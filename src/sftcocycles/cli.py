@@ -104,16 +104,21 @@ def _load_locfun(A, path):
 
 def _load_code(path):
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError("code file must be a JSON object")
     kind = doc.get("kind", "sliding")
     if kind == "sliding":
         source = TransitionMatrix(doc["source"])
         target = TransitionMatrix(doc["target"])
+        if not isinstance(doc["table"], dict):
+            raise ValueError("code 'table' must be an object mapping words to symbols")
         table = {_parse_word(k): v for k, v in doc["table"].items()}
-        return BlockCode(source, target, int(doc["window"]), table)
+        return BlockCode(source, target, doc["window"], table)
     if kind == "full_group":
         matrix = TransitionMatrix(doc["matrix"])
-        rules = [(tuple(src), tuple(dst)) for src, dst in doc["rules"]]
-        return FullGroupElement(matrix, rules)
+        if not isinstance(doc["rules"], list):
+            raise ValueError("code 'rules' must be a list of [src, dst] pairs")
+        return FullGroupElement(matrix, doc["rules"])
     raise ValueError("unknown code kind %r" % kind)
 
 
@@ -208,6 +213,8 @@ def _cmd_sigma_family(args):
 
 
 def _cmd_inclusion_matrix(args):
+    if args.levels < 1:
+        raise ValueError("--levels must be at least 1, not %d" % args.levels)
     A = _load_matrix(args.matrix)
     H = _parse_symbols(args.H)
     inc = inclusion_matrix(A, H)

@@ -23,7 +23,6 @@ from .sft import (
     has_cycle_within,
     is_primitive,
 )
-from .locfun import cocycle_sum
 from .coboundary import classify_potential
 from .support import inclusion_matrix
 
@@ -189,14 +188,36 @@ def membership_split(A, f, z):
     along the same tail and cancel, so the condition telescopes down to
     (|mu|, |nu|).  (The reduction is exercised against a brute-force
     membership oracle in the tests.)
+
+    Each sum is a fixed part, the windows inside its word, plus a
+    boundary part, the windows that start in the word's last K - 1
+    symbols and read into w.  The fixed parts are summed once per call.
+    When mu and nu end in the same K - 1 symbols the boundary parts
+    cancel and every piece takes the fixed parts' verdict; otherwise
+    only the boundary parts are summed per tail.  So a call costs
+    O(|mu| + |nu|) table lookups plus O(K) per piece when the suffixes
+    differ, and one tuple per piece either way.
     """
     _check_shift(A, f)
-    A.check_word(z.mu)
-    A.check_word(z.nu)
+    mu, nu = A.check_word(z.mu), A.check_word(z.nu)
+    K, table = f.depth, f.table
+    fixed_mu = sum(table[mu[i : i + K]] for i in range(len(mu) - K + 1))
+    fixed_nu = sum(table[nu[i : i + K]] for i in range(len(nu) - K + 1))
+    # The boundary windows start in these suffixes (the whole word when
+    # it is shorter than K - 1).
+    s_mu, s_nu = mu[max(0, len(mu) - K + 1) :], nu[max(0, len(nu) - K + 1) :]
+    tails = enumerate_words(A, K - 1, after=mu[-1])
+    pieces = [_end_matched(mu + w, nu + w) for w in tails]
+    if s_mu == s_nu:
+        if fixed_mu == fixed_nu:
+            return MembershipSplit(pieces, ())
+        return MembershipSplit((), pieces)
     inside, outside = [], []
-    for w in enumerate_words(A, f.depth - 1, after=z.mu[-1]):
-        piece = Bisection(z.mu + w, z.nu + w)
-        if cocycle_sum(f, piece.mu, len(z.mu)) == cocycle_sum(f, piece.nu, len(z.nu)):
+    for w, piece in zip(tails, pieces):
+        a, b = s_mu + w, s_nu + w
+        boundary_mu = sum(table[a[i : i + K]] for i in range(len(s_mu)))
+        boundary_nu = sum(table[b[i : i + K]] for i in range(len(s_nu)))
+        if fixed_mu + boundary_mu == fixed_nu + boundary_nu:
             inside.append(piece)
         else:
             outside.append(piece)

@@ -24,7 +24,6 @@ __all__ = [
     "make_chi_H",
     "cocycle_sum",
     "coboundary_transform",
-    "eval_on_point",
     "psi_transfer",
 ]
 
@@ -118,6 +117,9 @@ class LocFun:
         return self.table[tuple(word[: self.depth])]
 
     def eval_point(self, point, offset=0):
+        """Value of the function at sigma^offset of an eventually periodic point."""
+        if offset < 0:
+            raise ValueError("shift offset must be nonnegative")
         return self.value_on(point.window(offset, self.depth))
 
     def shifted(self):
@@ -264,13 +266,6 @@ def coboundary_transform(b):
     return one - b + b.shifted()
 
 
-def eval_on_point(f, point, shift_offset=0):
-    """Value of f at sigma^shift_offset of an eventually periodic point."""
-    if shift_offset < 0:
-        raise ValueError("shift offset must be nonnegative")
-    return f.eval_point(point, shift_offset)
-
-
 class BlockCode:
     """A sliding block code between two shift spaces.
 
@@ -280,10 +275,17 @@ class BlockCode:
     constructor checks that one-step compatibility, which propagates to
     all lengths.  Sliding codes commute with the shifts.  Inverses, when
     they exist, are supplied by the caller as a second code; deciding
-    invertibility is out of scope here.
+    invertibility is out of scope here.  The window and every table
+    value must be genuine integers (a Python ``int`` other than
+    ``bool``, or a NumPy integer); anything else is refused with a
+    ``ValueError`` naming it.
     """
 
     def __init__(self, source, target, window, table):
+        if type(window) is not int:
+            if not _is_integer(window):
+                raise ValueError("window must be an integer, not %r" % (window,))
+            window = int(window)
         if window < 1:
             raise ValueError("window must be at least 1")
         self.source = source
@@ -294,7 +296,10 @@ class BlockCode:
         for w in words:
             if w not in table:
                 raise ValueError("code table is missing the source word %r" % (w,))
-            s = int(table[w])
+            s = table[w]
+            if not _is_integer(s):
+                raise ValueError("code value on the source word %r is %r, not an integer" % (w, s))
+            s = int(s)
             if not 1 <= s <= target.n:
                 raise ValueError("code emits out-of-range symbol %d" % s)
             self.table[w] = s
@@ -307,6 +312,10 @@ class BlockCode:
 
     def input_length(self, m):
         return m + self.window - 1
+
+    def image_reads(self, word, m):
+        """How many leading symbols of `word` decide its first m image symbols."""
+        return self.input_length(m)
 
     def image_prefix(self, word, m):
         """First m symbols of the image of any point starting with `word`."""
@@ -336,7 +345,11 @@ class FullGroupElement:
         self.source = matrix
         self.target = matrix
         cleaned = []
-        for src, dst in rules:
+        for rule in rules:
+            try:
+                src, dst = (tuple(word) for word in rule)
+            except (TypeError, ValueError):
+                raise ValueError("rule %r is not a (src, dst) pair of words" % (rule,)) from None
             src, dst = matrix.check_word(src), matrix.check_word(dst)
             if not src or not dst:
                 raise ValueError("rule words must be nonempty")
@@ -359,6 +372,11 @@ class FullGroupElement:
 
     def input_length(self, m):
         return self.max_src + m
+
+    def image_reads(self, word, m):
+        """How many leading symbols of `word` decide its first m image symbols."""
+        src, dst = self.rule_for(word)
+        return max(len(src), len(src) + m - len(dst))
 
     def image_prefix(self, word, m):
         if len(word) < self.input_length(m):
@@ -433,28 +451,27 @@ def _tail_form(h, word, drop):
 
 
 def _verify_full_group_identity(h, k1, l1):
-    # Every check_len-word is tested, but the rules, the offsets and k1,
-    # l1 read only its first `depth` symbols, and the words of one
-    # cylinder arrive together, so they are recomputed per cylinder.
+    # Both sides of the identity are a stream: an explicit word followed
+    # by the point's own tail from some offset.  The rules, the offsets
+    # and k1, l1 read only the first `depth` symbols, so each
+    # depth-cylinder is checked on its own.  Unequal net offsets fail at
+    # once.  With an equal net offset t both streams read w at index
+    # t + j as their j-th symbol, so only the first m symbols can differ.
+    # An explicit word is nonempty only at an offset that is a source
+    # length (plus one on the left), so for m > 0 the longer stream's
+    # offset t + m is at most 1 + max_src <= depth: the compared symbols
+    # lie in the cylinder, and no longer word can change its verdict.
     A = h.matrix
     depth = max(k1.depth, l1.depth, 1 + h.max_src)
-    check_len = depth + h.max_dst + max(k1.max_value(), l1.max_value()) + 1
-    cyl = None
-    for w in enumerate_words(A, check_len):
-        if w[:depth] != cyl:
-            cyl = w[:depth]
-            kv, lv = k1.value_on(cyl), l1.value_on(cyl)
-            left_word, left_off = _tail_form(h, w[1:], kv)
-            left_off += 1
-            right_word, right_off = _tail_form(h, w, lv)
-            same_offset = left_off - len(left_word) == right_off - len(right_word)
-            # With equal net offsets both streams read w at the same index
-            # past their explicit words, so only the first m symbols can
-            # differ; check_len leaves both streams at least m long.
-            m = max(len(left_word), len(right_word))
-        if not same_offset or (
-            (left_word + w[left_off : left_off + m])[:m]
-            != (right_word + w[right_off : right_off + m])[:m]
+    for cyl in enumerate_words(A, depth):
+        kv, lv = k1.value_on(cyl), l1.value_on(cyl)
+        left_word, left_off = _tail_form(h, cyl[1:], kv)
+        left_off += 1
+        right_word, right_off = _tail_form(h, cyl, lv)
+        m = max(len(left_word), len(right_word))
+        if left_off - len(left_word) != right_off - len(right_word) or (
+            (left_word + cyl[left_off : left_off + m])[:m]
+            != (right_word + cyl[right_off : right_off + m])[:m]
         ):
             raise TransferIdentityError(
                 "orbit-equivalence identity fails on the cylinder %r" % (cyl,),
@@ -513,12 +530,28 @@ def psi_transfer(g, h, k1, l1):
     need_right = h.input_length(l1.max_value() + g.depth)
     need_left = 1 + h.input_length(k1.max_value() + g.depth)
     depth = max(k1.depth, l1.depth, need_right, need_left)
+    # A cylinder of length `cyl_len` fixes k1, l1 and the rules that
+    # select both images, and with them the prefix length `need` that
+    # decides the value; the words sharing that prefix arrive together,
+    # so the value is computed once per prefix.
+    cyl_len = max(k1.depth, l1.depth, 1 + h.input_length(0))
     table = {}
+    cyl = prefix = None
     for w in enumerate_words(A, depth):
-        kv, lv = k1.value_on(w), l1.value_on(w)
-        hx = h.image_prefix(w, lv + g.depth)
-        hsx = h.image_prefix(w[1:], kv + g.depth)
-        plus = sum(g.table[hx[i : i + g.depth]] for i in range(lv + 1))
-        minus = sum(g.table[hsx[j : j + g.depth]] for j in range(kv + 1))
-        table[w] = plus - minus
+        if w[:cyl_len] != cyl:
+            cyl = w[:cyl_len]
+            kv, lv = k1.value_on(cyl), l1.value_on(cyl)
+            need = max(
+                cyl_len,
+                h.image_reads(cyl, lv + g.depth),
+                1 + h.image_reads(cyl[1:], kv + g.depth),
+            )
+        if w[:need] != prefix:
+            prefix = w[:need]
+            hx = h.image_prefix(w, lv + g.depth)
+            hsx = h.image_prefix(w[1:], kv + g.depth)
+            plus = sum(g.table[hx[i : i + g.depth]] for i in range(lv + 1))
+            minus = sum(g.table[hsx[j : j + g.depth]] for j in range(kv + 1))
+            value = plus - minus
+        table[w] = value
     return LocFun(A, depth, table)

@@ -333,6 +333,58 @@ def test_psi_transfer_cli(files, capsys):
     assert doc == {"depth": 1, "values": {"1": 1, "2": -1}}
 
 
+GOLDEN = [[1, 1], [1, 0]]
+FULL2 = [[1, 1], [1, 1]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "code file must be a JSON object"),
+        ("sliding", "code file must be a JSON object"),
+        (
+            {"source": GOLDEN, "target": GOLDEN, "window": 1.5, "table": {"1": 1, "2": 2}},
+            "window must be an integer",
+        ),
+        (
+            {"source": GOLDEN, "target": GOLDEN, "window": 1, "table": {"1": 1.7, "2": 2}},
+            "source word (1,) is 1.7",
+        ),
+        (
+            {"source": GOLDEN, "target": GOLDEN, "window": 1, "table": {"1": 1, "2": True}},
+            "source word (2,) is True",
+        ),
+        (
+            {"source": GOLDEN, "target": GOLDEN, "window": 1, "table": [1, 2]},
+            "'table' must be an object",
+        ),
+        ({"kind": "full_group", "matrix": FULL2, "rules": [[[1]]]}, "rule [[1]] is not a (src, dst) pair"),
+        ({"kind": "full_group", "matrix": FULL2, "rules": [[1, 2]]}, "rule [1, 2] is not a (src, dst) pair"),
+        ({"kind": "full_group", "matrix": FULL2, "rules": 5}, "'rules' must be a list"),
+    ],
+)
+def test_psi_transfer_malformed_code_is_validation_error(files, tmp_path, capsys, doc, message):
+    path = tmp_path / "bad_code.json"
+    path.write_text(json.dumps(doc))
+    code = main(
+        [
+            "psi-transfer", "--fn", files["g_pm.json"], "--code", str(path),
+            "--k1", files["k0.json"], "--l1", files["l1.json"],
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("levels", ["0", "-2"])
+def test_inclusion_matrix_levels_below_one_is_validation_error(files, capsys, levels):
+    code = main(["inclusion-matrix", "--matrix", files["gm.json"], "--H", "1", "--levels", levels])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--levels must be at least 1" in captured.err
+
+
 def test_ktheory_cli(files, capsys):
     code, doc = run(capsys, "ktheory", "--matrix", files["gm.json"])
     assert code == 0

@@ -12,7 +12,6 @@ from sftcocycles import (
     coboundary_transform,
     cocycle_sum,
     enumerate_words,
-    eval_on_point,
     higher_block,
     make_chi_H,
     psi_transfer,
@@ -133,15 +132,21 @@ def test_coboundary_transform_cycle_sums(golden, full2):
 def test_eval_on_point(golden, full2):
     c = LocFun.constant(golden, 4)
     p = PointSpec(golden, (2,), (1,))
-    assert eval_on_point(c, p, 0) == 4
+    assert c.eval_point(p, 0) == 4
     chi = make_chi_H(full2, {1})
     q = PointSpec(full2, (2,), (1,))
-    assert eval_on_point(chi, q, 0) == 0
-    assert eval_on_point(chi, q, 1) == 1
+    assert chi.eval_point(q, 0) == 0
+    assert chi.eval_point(q, 1) == 1
     f = LocFun(golden, 2, {(1, 1): 5, (1, 2): 7, (2, 1): -2})
     alternating = PointSpec(golden, (), (1, 2))
-    values = [eval_on_point(f, alternating, i) for i in range(4)]
+    values = [f.eval_point(alternating, i) for i in range(4)]
     assert values == [7, -2, 7, -2]
+
+
+def test_eval_point_refuses_a_negative_offset(golden):
+    p = PointSpec(golden, (2,), (1,))
+    with pytest.raises(ValueError, match="shift offset must be nonnegative"):
+        LocFun.constant(golden, 4).eval_point(p, -1)
 
 
 def test_locfun_arithmetic(golden):
@@ -170,6 +175,33 @@ def test_block_code_validation(golden):
     # sending both symbols to 2 breaks admissibility (2 -> 2 forbidden)
     with pytest.raises(ValueError, match="not admissible"):
         BlockCode(golden, golden, 1, {(1,): 2, (2,): 2})
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({(1,): 1.7, (2,): 2}, r"source word \(1,\) is 1.7"),
+        ({(1,): 1, (2,): True}, r"source word \(2,\) is True"),
+        ({(1,): "1", (2,): 2}, r"source word \(1,\) is '1'"),
+        ({(1,): None, (2,): 2}, r"source word \(1,\) is None"),
+    ],
+)
+def test_block_code_values_must_be_integers(golden, table, message):
+    with pytest.raises(ValueError, match=message):
+        BlockCode(golden, golden, 1, table)
+
+
+@pytest.mark.parametrize("window", [1.5, 1.0, True, "1", None])
+def test_block_code_window_must_be_an_integer(golden, window):
+    with pytest.raises(ValueError, match="window must be an integer"):
+        BlockCode(golden, golden, window, {(1,): 1, (2,): 2})
+
+
+def test_block_code_accepts_numpy_integers(golden):
+    code = BlockCode(golden, golden, np.int64(1), {(1,): np.int64(1), (2,): np.int32(2)})
+    assert type(code.window) is int
+    assert code.table == {(1,): 1, (2,): 2}
+    assert all(type(s) is int for s in code.table.values())
 
 
 def test_block_code_apply(golden):
@@ -219,6 +251,12 @@ def test_full_group_element_validation(full2, golden):
         FullGroupElement(full2, [((1,), (1,)), ((1, 2), (2, 1)), ((2,), (2,))])
     with pytest.raises(ValueError, match="follower"):
         FullGroupElement(golden, [((1,), (2,)), ((2,), (1,))])
+
+
+@pytest.mark.parametrize("rule", [[(1,)], ((1,), (1,), (2,)), 5, ((1,), 2)])
+def test_full_group_rule_must_be_a_pair_of_words(full2, rule):
+    with pytest.raises(ValueError, match=r"rule .* is not a \(src, dst\) pair"):
+        FullGroupElement(full2, [rule, ((2,), (2,))])
 
 
 def test_full_group_element_moves_points_in_orbits(full2):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sftcocycles import (
@@ -50,6 +51,24 @@ def test_ceiling_validation(golden):
         suspended_matrix(golden, (1, 0))
     with pytest.raises(ValueError):
         suspended_matrix(golden, (1,))
+
+
+@pytest.mark.parametrize(
+    "ceilings, message",
+    [
+        ((1.7, 1), "ceiling of symbol 1 is 1.7"),
+        ((1, True), "ceiling of symbol 2 is True"),
+        (("2", 1), "ceiling of symbol 1 is '2'"),
+    ],
+)
+def test_ceilings_must_be_integers(golden, ceilings, message):
+    with pytest.raises(ValueError, match=message):
+        suspended_matrix(golden, ceilings)
+
+
+def test_numpy_ceilings_become_python_ints(golden):
+    S = suspended_matrix(golden, np.array([2, 1]))
+    assert S.ceilings == (2, 1) and all(type(c) is int for c in S.ceilings)
 
 
 def test_reduce_depth_one_unchanged(golden):

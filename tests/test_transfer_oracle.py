@@ -1,9 +1,15 @@
-"""The per-cylinder orbit-equivalence check against the per-word check.
+"""The per-cylinder transfer check and table against the per-word ones.
 
 `reference_verify` is `_verify_full_group_identity` as it was before the
 rules, offsets and (k1, l1) values were computed once per cylinder,
 kept verbatim.  Both must accept the same (h, k1, l1) data, and refuse
 the rest with the same message and witness cylinder.
+
+`reference_table` is the table loop of `psi_transfer` as it was before
+each value was computed once per deciding prefix, kept verbatim: it
+evaluates both orbit sums on every word of the output depth.  The
+transferred functions must be equal, for full-group elements and for
+sliding codes.
 """
 
 import random
@@ -11,11 +17,13 @@ import random
 import pytest
 
 from sftcocycles import (
+    BlockCode,
     FullGroupElement,
     LocFun,
     TransferIdentityError,
     TransitionMatrix,
     enumerate_words,
+    psi_transfer,
 )
 from sftcocycles.locfun import _tail_form, _verify_full_group_identity
 
@@ -40,6 +48,22 @@ def reference_verify(h, k1, l1):
                 "orbit-equivalence identity fails on the cylinder %r" % (cyl,),
                 witness=cyl,
             )
+
+
+def reference_table(g, h, k1, l1):
+    A = h.source
+    need_right = h.input_length(l1.max_value() + g.depth)
+    need_left = 1 + h.input_length(k1.max_value() + g.depth)
+    depth = max(k1.depth, l1.depth, need_right, need_left)
+    table = {}
+    for w in enumerate_words(A, depth):
+        kv, lv = k1.value_on(w), l1.value_on(w)
+        hx = h.image_prefix(w, lv + g.depth)
+        hsx = h.image_prefix(w[1:], kv + g.depth)
+        plus = sum(g.table[hx[i : i + g.depth]] for i in range(lv + 1))
+        minus = sum(g.table[hsx[j : j + g.depth]] for j in range(kv + 1))
+        table[w] = plus - minus
+    return LocFun(A, depth, table)
 
 
 def outcome(verify, h, k1, l1):
@@ -111,6 +135,31 @@ def perturbations(rng, A, k1, l1):
     ]
 
 
+def random_potential(rng, A, depth):
+    return LocFun(A, depth, {w: rng.randint(-3, 3) for w in enumerate_words(A, depth)})
+
+
+def transfers_match(rng, h, k1, l1):
+    """Whether psi_transfer equals the reference on random potentials.
+
+    Returns False, without comparing, when (k1, l1) fail the identity.
+    """
+    for depth in (1, 2, 3):
+        g = random_potential(rng, h.target, depth)
+        try:
+            t = psi_transfer(g, h, k1, l1)
+        except TransferIdentityError:
+            return False
+        assert t == reference_table(g, h, k1, l1)
+    return True
+
+
+MATRICES = {
+    "full2": [[1, 1], [1, 1]],
+    "golden": [[1, 1], [1, 0]],
+    "zd3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+}
+
 GOLDEN_ELEMENTS = [
     [((1,), (1,)), ((2,), (2,))],
     # swaps the cylinders of 1 1 and 2 1
@@ -122,13 +171,7 @@ GOLDEN_ELEMENTS = [
 
 @pytest.mark.parametrize("name, extra", [("full2", 2), ("golden", 3), ("zd3", 2)])
 def test_random_elements_match_reference(name, extra):
-    A = TransitionMatrix(
-        {
-            "full2": [[1, 1], [1, 1]],
-            "golden": [[1, 1], [1, 0]],
-            "zd3": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-        }[name]
-    )
+    A = TransitionMatrix(MATRICES[name])
     rng = random.Random(name)
     outcomes = []
     while len(outcomes) < 14:
@@ -160,3 +203,57 @@ def test_golden_elements_match_reference(golden, rules):
         results.append(expected)
     assert results[:3] == [None] * 3
     assert results[-1] is not None
+
+
+@pytest.mark.parametrize("name, extra", [("full2", 2), ("golden", 3), ("zd3", 2)])
+def test_random_element_transfers_match_reference(name, extra):
+    A = TransitionMatrix(MATRICES[name])
+    rng = random.Random("table-" + name)
+    compared = 0
+    elements = 0
+    while elements < 10:
+        tau = random_element(rng, A, rng.randint(A.n, A.n + extra))
+        if tau is None:
+            continue
+        elements += 1
+        k1, l1 = tau.coe_pair()
+        for k, l in perturbations(rng, A, k1, l1):
+            compared += transfers_match(rng, tau, k, l)
+    # The unperturbed and the two raised pairs pass on every element.
+    assert compared >= 30
+
+
+@pytest.mark.parametrize("rules", GOLDEN_ELEMENTS)
+def test_golden_element_transfers_match_reference(golden, rules):
+    tau = FullGroupElement(golden, rules)
+    k1, l1 = tau.coe_pair()
+    rng = random.Random("table-%d" % len(rules))
+    results = [transfers_match(rng, tau, k, l) for k, l in perturbations(rng, golden, k1, l1)]
+    assert results[:3] == [True] * 3
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_sliding_code_transfers_match_reference(name, window):
+    # Every sequence is admissible in the full 2-shift, so any table
+    # into it is a sliding code; the identity only asks l1 = k1 + 1.
+    A = TransitionMatrix(MATRICES[name])
+    full2 = TransitionMatrix(MATRICES["full2"])
+    rng = random.Random("sliding-%s-%d" % (name, window))
+    for _ in range(4):
+        table = {w: rng.randint(1, 2) for w in enumerate_words(A, window)}
+        h = BlockCode(A, full2, window, table)
+        depth = rng.randint(1, 2)
+        k1 = LocFun(A, depth, {w: rng.randint(0, 2) for w in enumerate_words(A, depth)})
+        assert transfers_match(rng, h, k1, k1 + 1)
+        assert not transfers_match(rng, h, k1, k1)
+
+
+def test_higher_block_code_transfer_matches_reference(golden):
+    labels = enumerate_words(golden, 2)
+    index = {w: i + 1 for i, w in enumerate(labels)}
+    block = TransitionMatrix([[int(a[1:] == b[:1]) for b in labels] for a in labels])
+    h = BlockCode(golden, block, 2, index)
+    rng = random.Random("higher-block")
+    zero = LocFun.constant(golden, 0)
+    assert transfers_match(rng, h, zero, zero + 1)
