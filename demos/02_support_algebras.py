@@ -11,9 +11,8 @@ from sftcocycles import (
     dimension_report,
     has_cycle_within,
     inclusion_matrix,
-    is_primitive_H,
+    is_primitive,
     is_saturated,
-    level_dimensions,
     make_chi_H,
     minimality_verdict,
     sigma_family,
@@ -27,7 +26,7 @@ family = sigma_family(golden, {1})
 print("first-passage family:", family.words)
 inc = inclusion_matrix(golden, {1})
 print("inclusion matrix:", inc.tolist())
-print("primitive (=> simple):", is_primitive_H(golden, {1}))
+print("primitive (=> simple):", is_primitive(inc.matrix))
 report = dimension_report(inc.matrix, 5)
 print("dimension vectors:", report["vectors"])
 print("UHF factor:", report["uhf_factor"], "-> type %d^inf" % report["uhf_factor"])
@@ -39,8 +38,8 @@ family = sigma_family(three, {1, 2})
 print("first-passage family:", family.words)
 inc = inclusion_matrix(three, {1, 2})
 print("inclusion matrix:", inc.tolist())
-print("primitive:", is_primitive_H(three, {1, 2}))
-print("level dimensions 1..3:", [level_dimensions(three, {1, 2}, k) for k in (1, 2, 3)])
+print("primitive:", is_primitive(inc.matrix))
+print("level dimensions 1..3:", dimension_report(inc.matrix, 3)["vectors"])
 
 print()
 print("== full 2-shift, H = {1}: the non-saturated case ==")

@@ -52,9 +52,7 @@ from .support import (
     is_saturated,
     sigma_family,
     inclusion_matrix,
-    is_primitive_H,
     weight_word_census,
-    level_dimensions,
 )
 from .coboundary import (
     NotCoboundaryError,

@@ -42,7 +42,6 @@ from .support import (
     sigma_family,
     inclusion_matrix,
     is_saturated,
-    level_dimensions,
 )
 from .coboundary import NotCoboundaryError, shortest_nonzero_cycle, solve_potential
 from .suspension import suspended_matrix, reduce_to_first_coordinate, corner_partition_check
@@ -62,9 +61,19 @@ def _emit(doc):
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _object(pairs):
+    # json.load would keep only the last of two equal keys; refuse them.
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError("JSON object repeats the key %r" % key)
+        doc[key] = value
+    return doc
+
+
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_object)
 
 
 def _load_matrix(path):
@@ -75,10 +84,30 @@ def _load_matrix(path):
 
 
 def _parse_word(text):
-    text = text.strip()
-    if not text:
+    """A word written as comma-separated ASCII digit strings, e.g. '1,2'.
+
+    Spaces around each symbol are allowed; anything else (a sign, an
+    underscore, a non-ASCII digit) is refused, naming the text.
+    """
+    if not text.strip():
         return ()
-    return tuple(int(part) for part in text.split(","))
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError("word %r must be comma-separated symbols such as '1,2'" % text)
+    return tuple(map(int, parts))
+
+
+def _word_table(doc, what):
+    """The object `doc` with its keys parsed as words, refusing two keys for one word."""
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be an object mapping words to integers" % what)
+    table = {}
+    for key, value in doc.items():
+        word = _parse_word(key)
+        if word in table:
+            raise ValueError("%s key %r repeats the word %r" % (what, key, word))
+        table[word] = value
+    return table
 
 
 def _parse_symbols(text):
@@ -96,10 +125,7 @@ def _load_locfun(A, path):
     doc = _load_json(path)
     if not isinstance(doc, dict) or "depth" not in doc or "values" not in doc:
         raise ValueError("function file needs 'depth' and 'values'")
-    if not isinstance(doc["values"], dict):
-        raise ValueError("function 'values' must be an object mapping words to integers")
-    table = {_parse_word(key): value for key, value in doc["values"].items()}
-    return LocFun(A, doc["depth"], table)
+    return LocFun(A, doc["depth"], _word_table(doc["values"], "function 'values'"))
 
 
 def _load_code(path):
@@ -110,10 +136,7 @@ def _load_code(path):
     if kind == "sliding":
         source = TransitionMatrix(doc["source"])
         target = TransitionMatrix(doc["target"])
-        if not isinstance(doc["table"], dict):
-            raise ValueError("code 'table' must be an object mapping words to symbols")
-        table = {_parse_word(k): v for k, v in doc["table"].items()}
-        return BlockCode(source, target, doc["window"], table)
+        return BlockCode(source, target, doc["window"], _word_table(doc["table"], "code 'table'"))
     if kind == "full_group":
         matrix = TransitionMatrix(doc["matrix"])
         if not isinstance(doc["rules"], list):
@@ -218,14 +241,13 @@ def _cmd_inclusion_matrix(args):
     A = _load_matrix(args.matrix)
     H = _parse_symbols(args.H)
     inc = inclusion_matrix(A, H)
-    dims = [level_dimensions(A, H, k) for k in range(1, args.levels + 1)]
     _emit(
         {
             "sigma": [list(w) for w in inc.family.words],
             "A_H": inc.tolist(),
             "saturated": True,
             "primitive": bool(is_primitive(inc.matrix)),
-            "dims": dims,
+            "dims": dimension_report(inc.matrix, args.levels)["vectors"],
         }
     )
     return 0

@@ -18,7 +18,7 @@ cross-checks; no decision relies on it.
 
 import numpy as np
 
-from .sft import higher_block
+from .sft import _integer, higher_block
 from .locfun import LocFun, coboundary_transform
 
 __all__ = [
@@ -62,6 +62,7 @@ def cycle_sums(A, g, cycle_cap=10**6):
     cycles it raises ``ValueError``.  Deciding the question needs only
     :func:`shortest_nonzero_cycle`.
     """
+    cycle_cap = _integer(cycle_cap, "cycle_cap", 0)
     block, labels, weights = _block_weights(A, g)
     out = []
     for root in range(1, len(labels) + 1):

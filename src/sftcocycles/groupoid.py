@@ -18,7 +18,7 @@ and minimality search are built on top of it.
 
 from .sft import (
     PointSpec,
-    _is_integer,
+    _integer,
     enumerate_words,
     has_cycle_within,
     is_primitive,
@@ -70,9 +70,6 @@ class Bisection:
 
     def is_diagonal(self):
         return self.mu == self.nu
-
-    def sort_key(self):
-        return (self.mu, self.nu)
 
     def as_dict(self):
         return {"mu": list(self.mu), "nu": list(self.nu)}
@@ -292,12 +289,6 @@ class MinimalityWitness:
         return "MinimalityWitness(x=%r, k=%d, l=%d)" % (self.x, self.k, self.l)
 
 
-def _check_bounds(k_max, value_max):
-    for name, value in (("k_max", k_max), ("value_max", value_max)):
-        if not (_is_integer(value) and value >= 0):
-            raise ValueError("%s must be a nonnegative integer, not %r" % (name, value))
-
-
 def minimality_search(A, f, z, mu, k_max=24, value_max=64):
     """Breadth-first search for a witness connecting U_mu to the orbit of z.
 
@@ -320,7 +311,7 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
     any length, depth K and alphabet size n.  f and z must live on the
     shift A.
     """
-    _check_bounds(k_max, value_max)
+    k_max, value_max = _integer(k_max, "k_max", 0), _integer(value_max, "value_max", 0)
     _check_shift(A, f, z)
     mu = A.check_word(mu)
     if not mu:
@@ -490,9 +481,10 @@ def minimality_verdict(A, f, k_max=24, value_max=64, grid_size=5):
     of (z, mu) pairs is searched: exhausted pairs are reported as
     uncertified non-minimality evidence, and full success on the sample
     returns "unknown".  Both search bounds must be nonnegative integers,
-    and f must live on the shift A.
+    the grid size a positive one, and f must live on the shift A.
     """
-    _check_bounds(k_max, value_max)
+    k_max, value_max = _integer(k_max, "k_max", 0), _integer(value_max, "value_max", 0)
+    grid_size = _integer(grid_size, "grid_size", 1)
     _check_shift(A, f)
     if not A.irreducible:
         raise ValueError("minimality verdict requires an irreducible matrix")

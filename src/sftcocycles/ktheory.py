@@ -14,7 +14,7 @@ from operator import mul
 
 import numpy as np
 
-from .sft import _check_integer_row, is_irreducible
+from .sft import _integer, _int_rows, is_irreducible
 
 __all__ = [
     "smith_normal_form",
@@ -22,17 +22,6 @@ __all__ = [
     "dimension_report",
     "perron_value",
 ]
-
-
-def _int_rows(M):
-    """The matrix as rows of Python ints, refusing any non-integer entry."""
-    rows = np.asarray(M, dtype=object).tolist()
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    for i, row in enumerate(rows):
-        if _check_integer_row(i + 1, row) != {int}:  # convert NumPy integers
-            rows[i] = list(map(int, row))
-    return rows
 
 
 def _identity(n):
@@ -184,8 +173,7 @@ def dimension_report(M, levels):
     Anything subtler is left inconclusive on purpose.
     """
     rows = _int_rows(M)
-    if levels < 1:
-        raise ValueError("need at least one level")
+    levels = _integer(levels, "levels", 1)
     if any(min(row, default=0) < 0 for row in rows):
         raise ValueError("inclusion matrices are nonnegative")
     size = len(rows)

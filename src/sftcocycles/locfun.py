@@ -14,7 +14,7 @@ equal iff their normalized tables coincide.  Everything here is pure
 and immutable.
 """
 
-from .sft import TransitionMatrix, _integer_kinds, _is_integer, enumerate_words
+from .sft import TransitionMatrix, _integer, _integers, enumerate_words
 
 __all__ = [
     "LocFun",
@@ -51,10 +51,10 @@ class LocFun:
     table : dict
         Total mapping from every admissible `depth`-word to an integer.
 
-    The depth and every value must be genuine integers (a Python ``int``
-    other than ``bool``, or a NumPy integer); anything else is refused
-    with a ``ValueError`` naming it.  The constructor normalizes to the
-    minimal depth representing the same function, so equality of
+    The depth and every value must be genuine integers; anything else is
+    refused with a ``ValueError`` naming it, and so is a table whose keys
+    are not exactly the admissible words.  The constructor normalizes to
+    the minimal depth representing the same function, so equality of
     functions is equality of tables.
 
     Examples
@@ -68,28 +68,10 @@ class LocFun:
     def __init__(self, matrix, depth, table):
         if not isinstance(matrix, TransitionMatrix):
             raise ValueError("matrix must be a TransitionMatrix")
-        if type(depth) is not int:
-            if not _is_integer(depth):
-                raise ValueError("depth must be an integer, not %r" % (depth,))
-            depth = int(depth)
-        if depth < 1:
-            raise ValueError("depth must be at least 1")
-        words = enumerate_words(matrix, depth)
-        cleaned = {}
-        for w in words:
-            if w not in table:
-                raise ValueError("table is missing the admissible word %r" % (w,))
-            cleaned[w] = table[w]
-        kinds = _integer_kinds(cleaned.values())
-        if kinds is None:
-            w = next(w for w, v in cleaned.items() if not _is_integer(v))
-            raise ValueError("value on the word %r is %r, not an integer" % (w, cleaned[w]))
-        if kinds != {int}:  # convert NumPy integers
-            cleaned = {w: int(v) for w, v in cleaned.items()}
-        if len(table) != len(words):
-            extra = set(table) - set(words)
-            raise ValueError("table has entries for inadmissible words: %r" % (sorted(extra),))
-        depth, cleaned = _normalize(depth, cleaned)
+        depth = _integer(depth, "depth", 1)
+        words, values = _table_values(matrix, depth, table, "table")
+        values = _integers(values, lambda i: "value on the word %r" % (words[i],))
+        depth, cleaned = _normalize(depth, dict(zip(words, values)))
         self.matrix = matrix
         self.depth = depth
         self.table = cleaned
@@ -118,8 +100,7 @@ class LocFun:
 
     def eval_point(self, point, offset=0):
         """Value of the function at sigma^offset of an eventually periodic point."""
-        if offset < 0:
-            raise ValueError("shift offset must be nonnegative")
+        offset = _integer(offset, "offset", 0)
         return self.value_on(point.window(offset, self.depth))
 
     def shifted(self):
@@ -209,6 +190,37 @@ class LocFun:
         }
 
 
+def _table_values(A, m, table, name):
+    """The admissible m-words in order, and the table's values on them.
+
+    The table's keys must be exactly those words, and the first one
+    missing is named.  At most len(table) + 1 words of each length are
+    ever listed.  Every admissible word extends (no symbol lacks a
+    follower), so the first words of one length extend to the first
+    words of the next; keeping only the first len(table) + 1 lists every
+    word when the table can hold them all, and otherwise words enough
+    to show one missing.  A table without a key of length m misses every
+    word, and is refused before any is listed, whatever the depth.
+    """
+    if not any(isinstance(w, tuple) and len(w) == m for w in table):
+        raise ValueError("%s is missing every admissible word of length %d" % (name, m))
+    cap = len(table) + 1
+    words = [(s,) for s in range(1, A.n + 1)]
+    del words[cap:]
+    for _ in range(m - 1):
+        words = [w + (j,) for w in words for j in A.followers(w[-1])]
+        del words[cap:]
+    try:
+        values = [table[w] for w in words]
+    except KeyError as missing:
+        word = missing.args[0]
+        raise ValueError("%s is missing the admissible word %r" % (name, word)) from None
+    if len(table) != len(words):
+        extra = set(table) - set(words)
+        raise ValueError("%s has entries for inadmissible words: %r" % (name, sorted(extra)))
+    return words, values
+
+
 def _normalize(depth, table):
     # Drop the last coordinate while every (depth-1)-cylinder is constant.
     while depth > 1:
@@ -247,8 +259,7 @@ def cocycle_sum(f, word, n):
     >>> cocycle_sum(f, (1, 1, 2, 1, 1), 3)
     1
     """
-    if n < 0:
-        raise ValueError("cocycle exponent must be nonnegative")
+    n = _integer(n, "n", 0)
     word = f.matrix.check_word(word)
     if n == 0:
         return 0
@@ -276,33 +287,22 @@ class BlockCode:
     all lengths.  Sliding codes commute with the shifts.  Inverses, when
     they exist, are supplied by the caller as a second code; deciding
     invertibility is out of scope here.  The window and every table
-    value must be genuine integers (a Python ``int`` other than
-    ``bool``, or a NumPy integer); anything else is refused with a
+    value must be genuine integers, and the table's keys exactly the
+    admissible source words; anything else is refused with a
     ``ValueError`` naming it.
     """
 
     def __init__(self, source, target, window, table):
-        if type(window) is not int:
-            if not _is_integer(window):
-                raise ValueError("window must be an integer, not %r" % (window,))
-            window = int(window)
-        if window < 1:
-            raise ValueError("window must be at least 1")
+        window = _integer(window, "window", 1)
+        words, values = _table_values(source, window, table, "code table")
+        values = _integers(values, lambda i: "code value on the source word %r" % (words[i],))
+        for s in values:
+            if not 1 <= s <= target.n:
+                raise ValueError("code emits out-of-range symbol %d" % s)
         self.source = source
         self.target = target
         self.window = window
-        words = enumerate_words(source, window)
-        self.table = {}
-        for w in words:
-            if w not in table:
-                raise ValueError("code table is missing the source word %r" % (w,))
-            s = table[w]
-            if not _is_integer(s):
-                raise ValueError("code value on the source word %r is %r, not an integer" % (w, s))
-            s = int(s)
-            if not 1 <= s <= target.n:
-                raise ValueError("code emits out-of-range symbol %d" % s)
-            self.table[w] = s
+        self.table = dict(zip(words, values))
         for w in enumerate_words(source, window + 1):
             a, b = self.table[w[:window]], self.table[w[1:]]
             if b not in target.follower_set(a):

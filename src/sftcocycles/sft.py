@@ -38,66 +38,67 @@ __all__ = [
 ]
 
 
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _entry_rows(entries):
-    """The matrix as a list of rows, checked square with integer 0/1 entries.
-
-    Only genuine integers are accepted (a Python ``int`` other than
-    ``bool``, or a NumPy integer), so a float, string or null entry is
-    refused, naming its row and column, instead of being coerced.
-    """
-    if isinstance(entries, np.ndarray):
-        if entries.dtype.kind not in "iuO":
-            raise ValueError(
-                "transition matrix entries must be integers, not %s" % entries.dtype
-            )
-        entries = entries.tolist()
-    try:
-        rows = [list(row) for row in entries]
-    except TypeError:
-        raise ValueError("transition matrix must be a square 2-D array") from None
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("transition matrix must be a square 2-D array")
-    for i, row in enumerate(rows, 1):
-        _check_integer_row(i, row)
-        if not set(row) <= {0, 1}:
-            raise ValueError("transition matrix entries must all be 0 or 1")
-    return rows
-
-
 _PLAIN_INT = frozenset({int})
 
 
-def _integer_kinds(values):
-    """The set of types of `values`, or None if one is not a genuine integer.
+def _integer(value, name, least=None):
+    """`value` as a Python ``int``, if it is a genuine integer.
 
-    Checking the distinct types first keeps the common all-int case free
-    of a per-value Python call.
+    This is the package's one integer gate: every count, bound, matrix
+    entry, table value and ceiling passes through it, so no value is
+    silently coerced.  A genuine integer is a Python ``int`` other than
+    ``bool``, or a NumPy integer; anything else is refused with a
+    ``ValueError`` naming it.  A value with a floor `least` (a count or
+    a bound) is refused as "<name> must be a nonnegative integer" or
+    "<name> must be an integer >= <least>", also when it is below the
+    floor; a value without one (an entry of a table) as "<name> is
+    <value>, not an integer".
     """
-    kinds = set(map(type, values))
-    if kinds <= _PLAIN_INT:
-        return kinds
-    if bool in kinds or not all(issubclass(k, (int, np.integer)) for k in kinds):
-        return None
-    return kinds
+    if type(value) is int and (least is None or value >= least):
+        return value
+    genuine = not isinstance(value, bool) and isinstance(value, (int, np.integer))
+    if least is None:
+        if not genuine:
+            raise ValueError("%s is %r, not an integer" % (name, value))
+    elif not (genuine and value >= least):
+        floor = "a nonnegative integer" if least == 0 else "an integer >= %d" % least
+        raise ValueError("%s must be %s, not %r" % (name, floor, value))
+    return int(value)
 
 
-def _check_integer_row(i, row):
-    """Refuse any entry of row i that is not a genuine integer, naming its cell.
+def _integers(values, name):
+    """The values as a list of Python ints, each through :func:`_integer`.
 
-    Returns the set of the row's entry types.
+    ``name(i)`` names the i-th value in a refusal.  The common all-``int``
+    case costs one ``set(map(type, values))`` and no per-value call.
     """
-    kinds = _integer_kinds(row)
-    if kinds is None:
-        j = next(j for j, v in enumerate(row, 1) if not _is_integer(v))
-        raise ValueError(
-            "matrix entry (%d, %d) is %r, not an integer" % (i, j, row[j - 1])
-        )
-    return kinds
+    if not isinstance(values, list):
+        values = list(values)
+    if set(map(type, values)) <= _PLAIN_INT:
+        return values
+    return [v if type(v) is int else _integer(v, name(i)) for i, v in enumerate(values)]
+
+
+def _int_rows(M):
+    """The matrix as a list of rows of Python ints, checked rectangular.
+
+    Entries pass the integer gate, so a float, string or null entry is
+    refused, naming its row and column, instead of being coerced.
+    """
+    if isinstance(M, np.ndarray):
+        if M.dtype.kind not in "iuO":
+            raise ValueError("matrix entries must be integers, not %s" % M.dtype)
+        M = M.tolist()
+    try:
+        rows = [list(row) for row in M]
+    except TypeError:
+        raise ValueError("matrix must be a 2-D array") from None
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix rows must all have the same length")
+    return [
+        _integers(row, lambda j: "matrix entry (%d, %d)" % (i, j + 1))
+        for i, row in enumerate(rows, 1)
+    ]
 
 
 def _graph(entries):
@@ -213,8 +214,13 @@ class TransitionMatrix:
     """
 
     def __init__(self, entries):
-        rows = _entry_rows(entries)
-        symbols = range(1, len(rows) + 1)
+        rows = _int_rows(entries)
+        n = len(rows)
+        if n == 0 or len(rows[0]) != n:
+            raise ValueError("transition matrix must be a square 2-D array")
+        if not all(set(row) <= {0, 1} for row in rows):
+            raise ValueError("transition matrix entries must all be 0 or 1")
+        symbols = range(1, n + 1)
         self._set_graph(
             tuple(tuple(compress(symbols, row)) for row in rows),
             tuple(tuple(compress(symbols, col)) for col in zip(*rows)),
@@ -365,8 +371,7 @@ def enumerate_words(A, m, after=None):
     >>> enumerate_words(A, 2, after=2)
     [(1, 1), (1, 2)]
     """
-    if m < 0:
-        raise ValueError("word length must be nonnegative")
+    m = _integer(m, "m", 0)
     if after is not None:
         A.check_symbols((after,))
     if m == 0:
@@ -387,8 +392,7 @@ def higher_block(A, K):
     with the label table from new symbols to words.  ``K = 1`` returns
     `A` itself with identity labels.
     """
-    if K < 1:
-        raise ValueError("block length must be at least 1")
+    K = _integer(K, "K", 1)
     if K == 1:
         return A, tuple((i,) for i in range(1, A.n + 1))
     words = enumerate_words(A, K)
@@ -488,8 +492,7 @@ class PointSpec:
 
     def shift(self, k):
         """The point shifted left k times, as a new PointSpec."""
-        if k < 0:
-            raise ValueError("shift offset must be nonnegative")
+        k = _integer(k, "k", 0)
         if k <= len(self.preperiod):
             return PointSpec(self.matrix, self.preperiod[k:], self.period)
         r = (k - len(self.preperiod)) % len(self.period)

@@ -7,9 +7,10 @@ equivalently, only finitely many words carry each H-weight.  The
 finite-dimensional filtration is then governed by the family Sigma_H of
 first-passage words into H (one hit of H, at the end) and by the M x M
 0/1 matrix recording which of those words concatenate admissibly.  This
-module computes the family, the matrix, its primitivity, the induced
-dimension vectors, and the weighted word census behind the saturation
-criterion.
+module computes the family, the matrix, and the weighted word census
+behind the saturation criterion; the matrix's primitivity (simplicity of
+the algebra) is ``is_primitive(inclusion_matrix(A, H).matrix)`` and its
+dimension vectors are those of ``dimension_report``.
 
 The family is ordered lexicographically, which pins the matrix down up
 to the permutation relating it to any ad-hoc numbering.
@@ -17,7 +18,7 @@ to the permutation relating it to any ad-hoc numbering.
 
 import numpy as np
 
-from .sft import enumerate_words, has_cycle_within, is_primitive
+from .sft import _integer, has_cycle_within
 
 __all__ = [
     "NotSaturatedError",
@@ -27,9 +28,7 @@ __all__ = [
     "is_saturated",
     "sigma_family",
     "inclusion_matrix",
-    "is_primitive_H",
     "weight_word_census",
-    "level_dimensions",
 ]
 
 
@@ -163,14 +162,6 @@ def inclusion_matrix(A, H):
     return InclusionMatrix(family, arr)
 
 
-def is_primitive_H(A, H):
-    """Primitivity of the inclusion matrix: the simplicity test.
-
-    True means the support algebra is a simple unital AF algebra.
-    """
-    return is_primitive(inclusion_matrix(A, H).matrix)
-
-
 class CensusResult:
     """Count of bounded-length words with a prescribed H-weight."""
 
@@ -195,8 +186,7 @@ def weight_word_census(A, H, n, len_cap):
     every longer word already exceeds the weight.
     """
     H = A.check_symbols(H)
-    if n < 1 or len_cap < 1:
-        raise ValueError("weight and length cap must be positive")
+    n, len_cap = _integer(n, "n", 1), _integer(len_cap, "len_cap", 1)
     weight_cap = n + 1  # weights above n collapse into one bucket
     state = {}
     for i in range(1, A.n + 1):
@@ -214,22 +204,3 @@ def weight_word_census(A, H, n, len_cap):
     stabilized = len(by_length) >= 2 and by_length[-1] == 0 and by_length[-2] == 0
     return CensusResult(sum(by_length), stabilized, by_length)
 
-
-def level_dimensions(A, H, n):
-    """The n-th dimension vector of the canonical filtration.
-
-    The first level assigns one matrix summand to each family word, so
-    d(1) is all ones, and each further level multiplies by the
-    transposed inclusion matrix.  Exact integer arithmetic throughout.
-    """
-    if n < 1:
-        raise ValueError("level must be at least 1")
-    inc = inclusion_matrix(A, H)
-    vec = [1] * inc.size
-    rows = inc.tolist()
-    for _ in range(n - 1):
-        vec = [
-            sum(rows[r][c] * vec[r] for r in range(inc.size))
-            for c in range(inc.size)
-        ]
-    return vec

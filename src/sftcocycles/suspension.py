@@ -15,7 +15,7 @@ two-sided infinite sequences; only this one-sided finite-window
 restriction is implemented, which is all the finite checks need.
 """
 
-from .sft import TransitionMatrix, _integer_kinds, _is_integer, higher_block
+from .sft import TransitionMatrix, _integers, higher_block
 from .locfun import LocFun
 
 __all__ = [
@@ -34,20 +34,13 @@ class SuspendedMatrix:
     ``labels`` lists the vertices (base symbol, level) in row order:
     levels grouped within symbols, symbols ascending.  ``matrix`` is the
     suspended 0/1 matrix as a full TransitionMatrix, so its flags are
-    available for reports.  Ceilings must be positive genuine integers
-    (a Python ``int`` other than ``bool``, or a NumPy integer).
+    available for reports.  Ceilings must be positive genuine integers.
     """
 
     __slots__ = ("base", "ceilings", "labels", "index", "matrix")
 
     def __init__(self, base, ceilings):
-        ceilings = tuple(ceilings)
-        kinds = _integer_kinds(ceilings)
-        if kinds is None:
-            j = next(j for j, c in enumerate(ceilings, 1) if not _is_integer(c))
-            raise ValueError("ceiling of symbol %d is %r, not an integer" % (j, ceilings[j - 1]))
-        if kinds != {int}:  # convert NumPy integers
-            ceilings = tuple(map(int, ceilings))
+        ceilings = tuple(_integers(ceilings, lambda j: "ceiling of symbol %d" % (j + 1)))
         if len(ceilings) != base.n:
             raise ValueError("need one ceiling per symbol")
         if any(c < 1 for c in ceilings):

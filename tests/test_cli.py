@@ -1,10 +1,14 @@
+import io
 import itertools
 import json
 import random
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sftcocycles.cli import main
 
@@ -465,3 +469,255 @@ def test_coboundary_check_non_integer_function_is_validation_error(
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
+
+
+# A tiny file whose depth or window is large: refused once its table is
+# seen to miss a word, without listing the 2**64 admissible words.
+DEEP = ",".join(["1"] * 64)
+
+
+@pytest.mark.parametrize(
+    "flag, doc",
+    [
+        ("--fn", {"depth": 22, "values": {}}),
+        ("--fn", {"depth": 64, "values": {}}),
+        ("--fn", {"depth": 64, "values": {DEEP: 0}}),
+        ("--code", {"source": FULL2, "target": FULL2, "window": 64, "table": {}}),
+        ("--code", {"source": FULL2, "target": FULL2, "window": 64, "table": {DEEP: 1}}),
+    ],
+)
+def test_large_depth_or_window_is_refused_quickly(files, tmp_path, capsys, flag, doc):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    if flag == "--fn":
+        argv = ["coboundary", "check", "--matrix", files["full2.json"], "--fn", str(path)]
+    else:
+        argv = ["psi-transfer", "--code", str(path), "--fn", files["g_pm.json"],
+                "--k1", files["k0.json"], "--l1", files["l1.json"]]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "missing" in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ('{"depth": 1, "values": {"1": 0, " 1": 5, "2": 1}}', " 1"),
+        ('{"depth": 1, "values": {"01": 0, "1": 5, "2": 1}}', "1"),
+        ('{"depth": 1, "values": {"1": 0, "1": 5, "2": 1}}', "1"),
+        ('{"depth": 1, "values": {"1_1": 0, "2": 1}}', "1_1"),
+        ('{"depth": 1, "values": {"\\u0661": 0, "2": 1}}', "\u0661"),
+        ('{"depth": 1, "values": {"+1": 0, "2": 1}}', "+1"),
+    ],
+)
+def test_function_keys_are_words_and_distinct(files, tmp_path, capsys, raw, key):
+    # Two keys for one word, or a key that is not a word, is invalid input
+    # naming the key, instead of a silent merge or coercion.
+    path = tmp_path / "keys.json"
+    path.write_text(raw)
+    code = main(["coboundary", "check", "--matrix", files["full2.json"], "--fn", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert repr(key) in captured.err
+
+
+def test_code_table_keys_must_be_distinct_words(files, tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(
+        {"source": GOLDEN, "target": GOLDEN, "window": 1, "table": {"1": 1, "2": 2, "2 ": 2}}
+    ))
+    code = main(["psi-transfer", "--fn", files["g_pm.json"], "--code", str(path),
+                 "--k1", files["k0.json"], "--l1", files["l1.json"]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "'2 '" in captured.err
+
+
+@pytest.mark.parametrize("mu", ["١", "1_1", "+1", "1,,2", "x"])
+def test_word_arguments_are_ascii_digits(files, capsys, mu):
+    code = main(["split", "--matrix", files["full2.json"], "--fn", files["chi1.json"],
+                 "--mu", mu, "--nu", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and repr(mu) in captured.err
+
+
+def test_word_arguments_allow_spaces_around_symbols(files, capsys):
+    code, doc = run(capsys, "split", "--matrix", files["full2.json"], "--fn",
+                    files["chi1.json"], "--mu", " 1 , 2 ", "--nu", "2")
+    assert code == 0 and doc["outside"] == [{"mu": [1, 2], "nu": [2]}]
+
+
+# ---------------------------------------------------------------- property
+#
+# main() on bounded random JSON documents and argv: it never raises,
+# exits 0-4, and prints nothing or exactly one JSON document.  Matrices
+# are at most 4 x 4, depths and windows at most 64 with at most 16 table
+# entries, and the numeric flags small, so that no request starts an
+# enumeration that is exponential by design (such as `words --m 40`).
+
+JUNK_WORDS = ["", " ", "0", "5", "-1", "+1", "1_1", "١", "1,,2", "a", " 1 , 2 "]
+JSON_LEAF = (
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats(-2, 2)
+    | st.text("12,: a", max_size=4)
+)
+JSON_ANY = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text("12,", max_size=3), inner, max_size=4),
+    max_leaves=8,
+)
+SHIFTS = [
+    GOLDEN, FULL2, [[0, 1], [1, 0]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+    [[1, 1, 0], [0, 0, 1], [1, 0, 0]], [[1] * 4] * 4,
+]
+RANDOM_MATRIX = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+# Mostly valid shifts, so that most requests get past the matrix check.
+MATRIX = st.integers(0, 3).flatmap(lambda i: RANDOM_MATRIX if i == 2 else st.sampled_from(SHIFTS))
+RARELY = st.integers(0, 9).map(lambda i: i == 4)
+SMALL_VALUES = st.sampled_from([st.integers(-3, 4), st.integers(0, 1), st.integers(1, 3)])
+
+
+def _key(word):
+    return ",".join(map(str, word))
+
+
+def _words(matrix, length):
+    n = len(matrix)
+    return [
+        w for w in itertools.product(range(1, n + 1), repeat=length)
+        if all(matrix[a - 1][b - 1] for a, b in zip(w, w[1:]))
+    ]
+
+
+@st.composite
+def _table(draw, matrix, values=None):
+    """(depth, table): total over the admissible words of `matrix` at a
+    small depth, or at most 16 keys, some malformed, at a depth up to 64."""
+    values = draw(SMALL_VALUES) if values is None else values
+    depth = draw(st.integers(1, 3))
+    words = _words(matrix, depth)
+    if len(words) <= 16 and not draw(RARELY):
+        keys = [_key(w) for w in words]
+    else:
+        depth = draw(st.integers(1, 64))
+        symbols = st.lists(st.integers(1, 4), min_size=depth, max_size=depth).map(_key)
+        keys = draw(st.lists(symbols | st.sampled_from(JUNK_WORDS), max_size=16, unique=True))
+    if draw(RARELY):
+        values = values | JSON_LEAF
+    return depth, {k: draw(values) for k in keys}
+
+
+def _doc(draw, inner):
+    # The document as JSON text; now and then arbitrary JSON instead.
+    return json.dumps(draw(JSON_ANY) if draw(RARELY) else inner)
+
+
+def _fn_doc(draw, matrix, values=None):
+    depth, table = draw(_table(matrix, values))
+    if draw(RARELY):
+        depth = draw(JSON_LEAF)
+    return _doc(draw, {"depth": depth, "values": table})
+
+
+def _code_doc(draw, matrix):
+    kind = draw(st.sampled_from(["identity", "sliding", "full_group"]))
+    if kind == "identity":
+        doc = {"source": matrix, "target": matrix, "window": 1,
+               "table": {str(s): s for s in range(1, len(matrix) + 1)}}
+    elif kind == "sliding":
+        window, table = draw(_table(matrix, st.integers(1, 4)))
+        doc = {"kind": "sliding", "source": matrix, "target": draw(MATRIX),
+               "window": window, "table": table}
+    else:
+        word = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+        rules = st.lists(st.tuples(word, word).map(list), min_size=1, max_size=4)
+        doc = {"kind": "full_group", "matrix": matrix,
+               "rules": draw(st.sampled_from([[[[1, 1], [1]], [[1, 2], [2, 1]], [[2], [2, 2]]]]) | rules)}
+    return _doc(draw, doc)
+
+
+@st.composite
+def _request(draw):
+    """(argv with '@name' file placeholders, {name: JSON text})."""
+    command = draw(st.sampled_from([
+        "validate", "words", "higher-block", "saturated", "sigma-family",
+        "inclusion-matrix", "suspend", "split", "fixed-generator", "expectation",
+        "minimal", "coboundary", "psi-transfer", "ktheory", "examples", "junk",
+    ]))
+    if command == "examples":
+        return ["examples"], {}
+    if command == "junk":
+        flags = ["words", "--m", "two", "--matrix", "x", "-1", "--levels"]
+        return draw(st.lists(st.sampled_from(flags), max_size=4)), {}
+    matrix = draw(MATRIX)
+    word = st.sampled_from([_key(w) for k in (1, 2, 3) for w in _words(matrix, k)] or [""])
+    word_arg = lambda: draw(
+        st.sampled_from(JUNK_WORDS) if draw(RARELY)
+        else word | st.lists(st.integers(1, 4), max_size=4).map(_key)
+    )
+    number = lambda lo, hi: str(draw(st.integers(lo, hi)))
+    if command == "psi-transfer":
+        docs = {"code": _code_doc(draw, matrix), "g": _fn_doc(draw, matrix),
+                "k1": _fn_doc(draw, matrix, st.integers(0, 2)),
+                "l1": _fn_doc(draw, matrix, st.integers(0, 2))}
+        return ["psi-transfer", "--fn", "@g", "--code", "@code", "--k1", "@k1", "--l1", "@l1"], docs
+    docs = {"matrix": _doc(draw, {"matrix": matrix})}
+    argv = [command] + ([draw(st.sampled_from(["check", "solve"]))] if command == "coboundary" else [])
+    argv += ["--matrix", "@matrix"]
+    if command in ("suspend", "split", "fixed-generator", "expectation", "minimal", "coboundary"):
+        docs["fn"] = _fn_doc(draw, matrix)
+        argv += ["--fn", "@fn"]
+    if command in ("saturated", "sigma-family", "inclusion-matrix"):
+        argv += ["--H", word_arg()]
+    if command in ("split", "fixed-generator", "expectation"):
+        argv += ["--mu", word_arg(), "--nu", word_arg()]
+    if command == "words":
+        argv += ["--m", number(-1, 4)]
+    if command == "higher-block":
+        argv += ["--K", number(-1, 4)]
+    if command == "inclusion-matrix" and draw(st.booleans()):
+        argv += ["--levels", number(-1, 5)]
+    if command == "minimal":
+        if draw(st.booleans()):
+            argv += ["--point", "%s:%s" % (word_arg(), word_arg()), "--mu", word_arg()]
+        argv += ["--k-max", number(-1, 8), "--value-max", number(-1, 64)]
+    return argv, docs
+
+
+FULL2_DOC = json.dumps({"matrix": FULL2})
+TRANSFER_FNS = {
+    "g": json.dumps({"depth": 1, "values": {"1": 1, "2": -1}}),
+    "k": json.dumps({"depth": 1, "values": {"1": 0, "2": 0}}),
+    "l": json.dumps({"depth": 1, "values": {"1": 1, "2": 1}}),
+}
+TRANSFER_ARGV = ["psi-transfer", "--fn", "@g", "--code", "@c", "--k1", "@k", "--l1", "@l"]
+WINDOW_24 = json.dumps({"source": FULL2, "target": FULL2, "window": 24, "table": {}})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=_request())
+@example(request=(["coboundary", "check", "--matrix", "@m", "--fn", "@f"],
+                  {"m": FULL2_DOC, "f": json.dumps({"depth": 22, "values": {}})}))
+@example(request=(TRANSFER_ARGV, dict(TRANSFER_FNS, c=WINDOW_24)))
+@example(request=(["coboundary", "check", "--matrix", "@m", "--fn", "@f"],
+                  {"m": FULL2_DOC, "f": '{"depth": 1, "values": {"1": 0, " 1": 5, "2": 1}}'}))
+@example(request=(["split", "--matrix", "@m", "--fn", "@f", "--mu", "١", "--nu", "1_1"],
+                  {"m": FULL2_DOC, "f": json.dumps({"depth": 1, "values": {"1": 1, "2": 0}})}))
+def test_main_never_raises_and_prints_at_most_one_document(tmp_path, request):
+    argv, docs = request
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    if out.getvalue():
+        json.loads(out.getvalue())

@@ -145,7 +145,7 @@ def test_eval_on_point(golden, full2):
 
 def test_eval_point_refuses_a_negative_offset(golden):
     p = PointSpec(golden, (2,), (1,))
-    with pytest.raises(ValueError, match="shift offset must be nonnegative"):
+    with pytest.raises(ValueError, match="offset must be a nonnegative integer"):
         LocFun.constant(golden, 4).eval_point(p, -1)
 
 
@@ -195,6 +195,19 @@ def test_block_code_values_must_be_integers(golden, table, message):
 def test_block_code_window_must_be_an_integer(golden, window):
     with pytest.raises(ValueError, match="window must be an integer"):
         BlockCode(golden, golden, window, {(1,): 1, (2,): 2})
+
+
+def test_block_code_table_keys_are_the_source_words(golden, full2):
+    with pytest.raises(ValueError, match="inadmissible"):
+        BlockCode(golden, golden, 1, {(1,): 1, (2,): 2, (3,): 1})
+    # A deep window with a small table is refused at its first missing
+    # word, without listing the 2**64 source words.
+    with pytest.raises(ValueError, match=r"missing the admissible word \(1, 1, .*, 2\)"):
+        BlockCode(full2, full2, 64, {(1,) * 64: 1})
+    # Without a key of the table's length every word is missing, so even
+    # a depth far beyond any listing is refused at once.
+    with pytest.raises(ValueError, match="missing every admissible word of length 1000000000"):
+        LocFun(full2, 10**9, {(1,): 0})
 
 
 def test_block_code_accepts_numpy_integers(golden):

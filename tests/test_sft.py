@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from sftcocycles import (
+    BlockCode,
+    LocFun,
     PointSpec,
     TransitionMatrix,
+    cocycle_sum,
+    cycle_sums,
+    dimension_report,
     enumerate_words,
     has_cycle_within,
     higher_block,
     is_saturated,
     make_chi_H,
+    minimality_search,
+    minimality_verdict,
+    weight_word_census,
 )
 
 from conftest import words_up_to
@@ -169,3 +177,44 @@ def test_bool_is_not_a_symbol(golden, flag):
         make_chi_H(golden, {flag})
     with pytest.raises(ValueError):
         is_saturated(golden, {flag})
+
+
+GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
+FULL2 = TransitionMatrix([[1, 1], [1, 1]])
+SWAP = TransitionMatrix([[0, 1], [1, 0]])  # one cycle, so cycle_cap=1 suffices
+CHI = make_chi_H(GOLDEN, {1})
+CHI2 = make_chi_H(FULL2, {1})
+POINT = PointSpec(GOLDEN, (2,), (1,))
+
+# Every count and bound behind the integer gate: (parameter, call with it).
+GATED = [
+    ("m", lambda v: enumerate_words(GOLDEN, v)),
+    ("K", lambda v: higher_block(GOLDEN, v)),
+    ("n", lambda v: weight_word_census(GOLDEN, {1}, v, 4)),
+    ("len_cap", lambda v: weight_word_census(GOLDEN, {1}, 1, v)),
+    ("levels", lambda v: dimension_report([[1, 1], [1, 1]], v)),
+    ("n", lambda v: cocycle_sum(CHI, (1, 2, 1), v)),
+    ("grid_size", lambda v: minimality_verdict(FULL2, CHI2, grid_size=v)),
+    ("cycle_cap", lambda v: cycle_sums(SWAP, LocFun.constant(SWAP, 0), cycle_cap=v)),
+    ("k", lambda v: POINT.shift(v)),
+    ("offset", lambda v: CHI.eval_point(POINT, v)),
+    ("depth", lambda v: LocFun(GOLDEN, v, {(1,): 0, (2,): 1})),
+    ("window", lambda v: BlockCode(GOLDEN, GOLDEN, v, {(1,): 1, (2,): 2})),
+    ("k_max", lambda v: minimality_search(FULL2, CHI2, PointSpec(FULL2, (), (1,)), (1,), k_max=v)),
+    ("value_max", lambda v: minimality_search(FULL2, CHI2, PointSpec(FULL2, (), (1,)), (1,), value_max=v)),
+    ("k_max", lambda v: minimality_verdict(FULL2, CHI2, k_max=v)),
+    ("value_max", lambda v: minimality_verdict(FULL2, CHI2, value_max=v)),
+]
+GATED_IDS = ["%s-%d" % (name, i) for i, (name, _) in enumerate(GATED)]
+
+
+@pytest.mark.parametrize("name, call", GATED, ids=GATED_IDS)
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+def test_gated_parameter_refuses_a_non_integer(name, call, bad):
+    with pytest.raises(ValueError, match="^%s must be (a nonnegative|an) integer" % name):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call", GATED, ids=GATED_IDS)
+def test_gated_parameter_accepts_a_numpy_integer(name, call):
+    call(np.int64(1))

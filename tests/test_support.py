@@ -2,13 +2,13 @@ import pytest
 
 from sftcocycles import (
     NotSaturatedError,
+    dimension_report,
     enumerate_words,
     generator_fixed,
     has_cycle_within,
     inclusion_matrix,
-    is_primitive_H,
+    is_primitive,
     is_saturated,
-    level_dimensions,
     make_chi_H,
     sigma_family,
     weight_word_census,
@@ -91,9 +91,9 @@ def test_inclusion_matrix_consistency(golden, zero_diag3):
 
 
 def test_primitivity_examples(golden, zero_diag3):
-    assert is_primitive_H(golden, {1})
-    assert is_primitive_H(zero_diag3, {1, 2})
-    assert is_primitive_H(golden, {1, 2})
+    assert is_primitive(inclusion_matrix(golden, {1}).matrix)
+    assert is_primitive(inclusion_matrix(zero_diag3, {1, 2}).matrix)
+    assert is_primitive(inclusion_matrix(golden, {1, 2}).matrix)
 
 
 def test_census_golden_brute_force_oracle(golden):
@@ -154,20 +154,23 @@ def _subsets(items, k):
     return combinations(items, k)
 
 
+def level_vectors(A, H, levels):
+    return dimension_report(inclusion_matrix(A, H).matrix, levels)["vectors"]
+
+
 def test_level_dimensions_examples(golden, zero_diag3):
-    assert level_dimensions(golden, {1}, 1) == [1, 1]
-    assert level_dimensions(golden, {1}, 2) == [2, 2]
-    assert level_dimensions(golden, {1}, 3) == [4, 4]
-    assert level_dimensions(zero_diag3, {1, 2}, 2) == [2, 2, 4, 4]
+    assert level_vectors(golden, {1}, 3) == [[1, 1], [2, 2], [4, 4]]
+    assert level_vectors(zero_diag3, {1, 2}, 2)[1] == [2, 2, 4, 4]
 
 
 def test_level_dimensions_full_H(golden, zero_diag3):
     # full H reduces to the standard filtration vectors (A^T)^(k-1) . 1
     for A in (golden, zero_diag3):
         H = set(range(1, A.n + 1))
+        vectors = level_vectors(A, H, 4)
         vec = [1] * A.n
         for level in range(1, 5):
-            assert level_dimensions(A, H, level) == vec
+            assert vectors[level - 1] == vec
             vec = [
                 sum(int(A.entries[r, c]) * vec[r] for r in range(A.n))
                 for c in range(A.n)
