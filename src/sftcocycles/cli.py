@@ -219,13 +219,10 @@ def _cmd_higher_block(args):
 
 def _cmd_saturated(args):
     A = _load_matrix(args.matrix)
-    H = _parse_symbols(args.H)
-    ok = is_saturated(A, H)
-    witness = None
-    if not ok:
-        witness = has_cycle_within(A, set(range(1, A.n + 1)) - H)
-    _emit({"saturated": ok, "witness": list(witness) if witness else None})
-    return 0 if ok else NEGATIVE_VERDICT
+    H = A.check_symbols(_parse_symbols(args.H))
+    witness = has_cycle_within(A, set(range(1, A.n + 1)) - H)
+    _emit({"saturated": witness is None, "witness": list(witness) if witness else None})
+    return 0 if witness is None else NEGATIVE_VERDICT
 
 
 def _cmd_sigma_family(args):

@@ -313,10 +313,6 @@ class BlockCode:
     def input_length(self, m):
         return m + self.window - 1
 
-    def image_reads(self, word, m):
-        """How many leading symbols of `word` decide its first m image symbols."""
-        return self.input_length(m)
-
     def image_prefix(self, word, m):
         """First m symbols of the image of any point starting with `word`."""
         if len(word) < self.input_length(m):
@@ -373,11 +369,6 @@ class FullGroupElement:
     def input_length(self, m):
         return self.max_src + m
 
-    def image_reads(self, word, m):
-        """How many leading symbols of `word` decide its first m image symbols."""
-        src, dst = self.rule_for(word)
-        return max(len(src), len(src) + m - len(dst))
-
     def image_prefix(self, word, m):
         if len(word) < self.input_length(m):
             raise ValueError("need %d source symbols, got %d" % (self.input_length(m), len(word)))
@@ -391,20 +382,13 @@ class FullGroupElement:
         shifted = point.shift(len(src))
         return shifted.prepend(dst)
 
-    def orbit_data(self):
-        """The (k, l) pair with sigma^k(tau x) = sigma^l(x): k=|dst|, l=|src|."""
-        depth = self.max_src
-        k_table, l_table = {}, {}
-        for w in enumerate_words(self.matrix, depth):
-            src, dst = self.rule_for(w)
-            k_table[w] = len(dst)
-            l_table[w] = len(src)
-        return LocFun(self.matrix, depth, k_table), LocFun(self.matrix, depth, l_table)
-
     def cocycle_function(self):
-        """d = l - k, the cocycle of the full-group element."""
-        k_fn, l_fn = self.orbit_data()
-        return l_fn - k_fn
+        """The cocycle d = |src| - |dst|: sigma^|dst|(tau x) = sigma^|src|(x)."""
+        table = {}
+        for w in enumerate_words(self.matrix, self.max_src):
+            src, dst = self.rule_for(w)
+            table[w] = len(src) - len(dst)
+        return LocFun(self.matrix, self.max_src, table)
 
     def coe_pair(self):
         """Minimal (k1, l1) with sigma^k1(tau(sigma x)) = sigma^l1(tau x).
@@ -435,10 +419,23 @@ def _check_partition(matrix, words, role):
             raise ValueError(
                 "%s cylinders overlap: %r is a prefix of %r" % (role, a, b)
             )
+    # Walk the words' proper prefixes in lexicographic order.  The first
+    # child that is neither a word nor a proper prefix, extended by least
+    # followers (every symbol has one), is the least uncovered word.
     depth = max(len(w) for w in words)
-    for w in enumerate_words(matrix, depth):
-        if not any(w[: len(s)] == s for s in words):
-            raise ValueError("%s cylinders do not cover the word %r" % (role, w))
+    sources, prefixes = set(words), {w[:i] for w in words for i in range(len(w))}
+    stack = [()]
+    while stack:
+        w = stack.pop()
+        if w in sources:
+            continue
+        if w in prefixes:
+            nexts = matrix.followers(w[-1]) if w else range(1, matrix.n + 1)
+            stack.extend(w + (j,) for j in reversed(nexts))
+            continue
+        while len(w) < depth:
+            w += (matrix.followers(w[-1])[0],)
+        raise ValueError("%s cylinders do not cover the word %r" % (role, w))
 
 
 def _tail_form(h, word, drop):
@@ -502,15 +499,30 @@ def psi_transfer(g, h, k1, l1):
         sum(g(sigma^i(h x)) for i in 0..l1(x))
         - sum(g(sigma^j(h(sigma x))) for j in 0..k1(x))
 
-    Both sums include their upper endpoint.  The output depth is the
-    exact number of source coordinates the right-hand side can read,
-    and the result is normalized afterwards.
+    Once (k1, l1) pass the identity sigma^k1(h sigma x) = sigma^l1(h x),
+    the last terms of the two sums cancel, and the rest reads neither k1
+    nor l1.  For a sliding code, which commutes with the shift, it is
+    g o h, of depth g.depth + window - 1.  For a full-group element it is
+    g + G - G(sigma .) with G(x) = g^|dst|(h x) - g^|src|(x), of depth
+    max_src + g.depth (G reads one symbol less).
 
     Raises
     ------
     TransferIdentityError
         If (k1, l1) fail the orbit-equivalence identity for h; the
         offending cylinder word is attached as ``witness``.
+
+    Examples
+    --------
+    The transfer of the constant 1 is the unit coboundary 1 - d + d(sigma .)
+    of the element's cocycle d = |src| - |dst|:
+
+    >>> A = TransitionMatrix([[1, 1], [1, 1]])
+    >>> tau = FullGroupElement(A, [((1, 1), (1,)), ((1, 2), (2, 1)), ((2,), (2, 2))])
+    >>> k1, l1 = tau.coe_pair()
+    >>> one = LocFun.constant(A, 1)
+    >>> psi_transfer(one, tau, k1, l1) == coboundary_transform(tau.cocycle_function())
+    True
     """
     A = h.source
     if not g.matrix.same_matrix(h.target):
@@ -522,36 +534,26 @@ def psi_transfer(g, h, k1, l1):
             raise ValueError("%s must take nonnegative values" % name)
     if isinstance(h, FullGroupElement):
         _verify_full_group_identity(h, k1, l1)
-    elif isinstance(h, BlockCode):
+        return _full_group_transfer(g, h)
+    if isinstance(h, BlockCode):
         _verify_block_code_identity(h, k1, l1)
-    else:
-        raise TypeError("h must be a BlockCode or a FullGroupElement")
+        depth = h.input_length(g.depth)
+        return LocFun(A, depth, {w: g.table[h.apply(w)] for w in enumerate_words(A, depth)})
+    raise TypeError("h must be a BlockCode or a FullGroupElement")
 
-    need_right = h.input_length(l1.max_value() + g.depth)
-    need_left = 1 + h.input_length(k1.max_value() + g.depth)
-    depth = max(k1.depth, l1.depth, need_right, need_left)
-    # A cylinder of length `cyl_len` fixes k1, l1 and the rules that
-    # select both images, and with them the prefix length `need` that
-    # decides the value; the words sharing that prefix arrive together,
-    # so the value is computed once per prefix.
-    cyl_len = max(k1.depth, l1.depth, 1 + h.input_length(0))
-    table = {}
-    cyl = prefix = None
-    for w in enumerate_words(A, depth):
-        if w[:cyl_len] != cyl:
-            cyl = w[:cyl_len]
-            kv, lv = k1.value_on(cyl), l1.value_on(cyl)
-            need = max(
-                cyl_len,
-                h.image_reads(cyl, lv + g.depth),
-                1 + h.image_reads(cyl[1:], kv + g.depth),
-            )
-        if w[:need] != prefix:
-            prefix = w[:need]
-            hx = h.image_prefix(w, lv + g.depth)
-            hsx = h.image_prefix(w[1:], kv + g.depth)
-            plus = sum(g.table[hx[i : i + g.depth]] for i in range(lv + 1))
-            minus = sum(g.table[hsx[j : j + g.depth]] for j in range(kv + 1))
-            value = plus - minus
-        table[w] = value
+
+def _full_group_transfer(g, h):
+    # G(x) = g^|dst|(h x) - g^|src|(x) sums g up to where h x and x
+    # reach the same tail, so the transfer is g + G - G(sigma .).
+    A, K = h.matrix, g.depth
+
+    def ergodic_sum(word, n):
+        return sum(g.table[word[i : i + K]] for i in range(n))
+
+    G = {}
+    for w in enumerate_words(A, h.max_src + K - 1):
+        src, dst = h.rule_for(w)
+        G[w] = ergodic_sum(dst + w[len(src) :], len(dst)) - ergodic_sum(w, len(src))
+    depth = h.max_src + K
+    table = {w: g.table[w[:K]] + G[w[:-1]] - G[w[1:]] for w in enumerate_words(A, depth)}
     return LocFun(A, depth, table)

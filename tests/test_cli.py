@@ -102,6 +102,9 @@ def test_saturated_exit_codes(files, capsys):
     assert code == 0 and doc == {"saturated": True, "witness": None}
     code, doc = run(capsys, "saturated", "--matrix", files["full2.json"], "--H", "1")
     assert code == 3 and doc == {"saturated": False, "witness": [2]}
+    code = main(["saturated", "--matrix", files["gm.json"], "--H", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "symbol 5 out of range" in captured.err
 
 
 def test_sigma_family_and_inclusion(files, capsys):
@@ -472,21 +475,27 @@ def test_coboundary_check_non_integer_function_is_validation_error(
 
 
 # A tiny file whose depth or window is large: refused once its table is
-# seen to miss a word, without listing the 2**64 admissible words.
+# seen to miss a word, without listing the 2**64 admissible words.  A
+# single 64-symbol rule is refused once the walk over its prefixes meets
+# an uncovered cylinder.
 DEEP = ",".join(["1"] * 64)
 
 
 @pytest.mark.parametrize(
-    "flag, doc",
+    "flag, doc, message",
     [
-        ("--fn", {"depth": 22, "values": {}}),
-        ("--fn", {"depth": 64, "values": {}}),
-        ("--fn", {"depth": 64, "values": {DEEP: 0}}),
-        ("--code", {"source": FULL2, "target": FULL2, "window": 64, "table": {}}),
-        ("--code", {"source": FULL2, "target": FULL2, "window": 64, "table": {DEEP: 1}}),
+        pytest.param("--fn", {"depth": 22, "values": {}}, "missing", id="--fn-doc0"),
+        pytest.param("--fn", {"depth": 64, "values": {}}, "missing", id="--fn-doc1"),
+        pytest.param("--fn", {"depth": 64, "values": {DEEP: 0}}, "missing", id="--fn-doc2"),
+        pytest.param("--code", {"source": FULL2, "target": FULL2, "window": 64, "table": {}},
+                     "missing", id="--code-doc3"),
+        pytest.param("--code", {"source": FULL2, "target": FULL2, "window": 64, "table": {DEEP: 1}},
+                     "missing", id="--code-doc4"),
+        pytest.param("--code", {"kind": "full_group", "matrix": FULL2, "rules": [[[1] * 64, [1] * 64]]},
+                     "do not cover", id="--code-doc5"),
     ],
 )
-def test_large_depth_or_window_is_refused_quickly(files, tmp_path, capsys, flag, doc):
+def test_large_depth_or_window_is_refused_quickly(files, tmp_path, capsys, flag, doc, message):
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(doc))
     if flag == "--fn":
@@ -498,7 +507,7 @@ def test_large_depth_or_window_is_refused_quickly(files, tmp_path, capsys, flag,
     code = main(argv)
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == "" and "missing" in captured.err
+    assert code == 2 and captured.out == "" and message in captured.err
     assert elapsed < 1.0
 
 

@@ -8,11 +8,16 @@ the rest with the same message and witness cylinder.
 `reference_table` is the table loop of `psi_transfer` as it was before
 each value was computed once per deciding prefix, kept verbatim: it
 evaluates both orbit sums on every word of the output depth.  The
-transferred functions must be equal, for full-group elements and for
-sliding codes.
+transfer is now built from its closed forms, g o h for a sliding code
+and g + G - G(sigma .) for a full-group element, and is checked against
+`reference_table`: the transferred functions must be equal, for
+full-group elements and for sliding codes.  Where the reference cannot
+list its words, the closed form is checked against the orbit sums at
+sample points.
 """
 
 import random
+import time
 
 import pytest
 
@@ -22,8 +27,10 @@ from sftcocycles import (
     LocFun,
     TransferIdentityError,
     TransitionMatrix,
+    coboundary_transform,
     enumerate_words,
     psi_transfer,
+    solve_potential,
 )
 from sftcocycles.locfun import _tail_form, _verify_full_group_identity
 
@@ -257,3 +264,37 @@ def test_higher_block_code_transfer_matches_reference(golden):
     rng = random.Random("higher-block")
     zero = LocFun.constant(golden, 0)
     assert transfers_match(rng, h, zero, zero + 1)
+
+
+def orbit_sums(g, h, k1, l1, word):
+    """Both inclusive orbit sums of the transfer, at a point starting with `word`."""
+    kv, lv = k1.value_on(word), l1.value_on(word)
+    hx = h.image_prefix(word, lv + g.depth)
+    hsx = h.image_prefix(word[1:], kv + g.depth)
+    plus = sum(g.table[hx[i : i + g.depth]] for i in range(lv + 1))
+    minus = sum(g.table[hsx[j : j + g.depth]] for j in range(kv + 1))
+    return plus - minus
+
+
+def test_thirteen_rule_transfer_matches_orbit_sums(full2):
+    # Sources 2, 12, 112, ..., 1^11 2 and 1^12 with shuffled targets: the
+    # reference would list words of length max_src + max(l1) + g.depth.
+    rng = random.Random("thirteen")
+    sources = [(1,) * i + (2,) for i in range(12)] + [(1,) * 12]
+    targets = list(sources)
+    rng.shuffle(targets)
+    tau = FullGroupElement(full2, list(zip(sources, targets)))
+    k1, l1 = tau.coe_pair()
+    g = random_potential(rng, full2, 2)
+    start = time.perf_counter()
+    t = psi_transfer(g, tau, k1, l1)
+    assert time.perf_counter() - start < 2.0
+    assert t.depth <= tau.max_src + g.depth
+    for _ in range(200):
+        ones = (1,) * rng.randint(0, 14)
+        word = ones + tuple(rng.randint(1, 2) for _ in range(80 - len(ones)))
+        assert t.value_on(word) == orbit_sums(g, tau, k1, l1, word)
+    b = solve_potential(full2, t - g)
+    assert b.shifted() - b == t - g
+    one = LocFun.constant(full2, 1)
+    assert psi_transfer(one, tau, k1, l1) == coboundary_transform(tau.cocycle_function())
