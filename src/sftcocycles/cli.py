@@ -97,6 +97,19 @@ def _parse_word(text):
     return tuple(map(int, parts))
 
 
+def _int_flag(text):
+    """An integer flag: an optional '-' followed by ASCII digits.
+
+    argparse's ``int`` would also take '+2', ' 2', '1_0' and '٢'; words
+    are spelled in ASCII digits, and so are the numbers on the command
+    line.  Anything else is a usage error.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
 def _word_table(doc, what):
     """The object `doc` with its keys parsed as words, refusing two keys for one word."""
     if not isinstance(doc, dict):
@@ -108,10 +121,6 @@ def _word_table(doc, what):
             raise ValueError("%s key %r repeats the word %r" % (what, key, word))
         table[word] = value
     return table
-
-
-def _parse_symbols(text):
-    return set(_parse_word(text))
 
 
 def _parse_point(A, text):
@@ -171,13 +180,13 @@ def _build_parser():
 
     add("validate", "matrix")
     p = add("words", "matrix")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_flag, required=True)
     p = add("higher-block", "matrix")
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--K", type=_int_flag, required=True)
     add("saturated", "matrix", "H")
     add("sigma-family", "matrix", "H")
     p = add("inclusion-matrix", "matrix", "H")
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--levels", type=_int_flag, default=3)
     add("suspend", "matrix", "fn")
     add("split", "matrix", "fn", "munu")
     add("fixed-generator", "matrix", "fn", "munu")
@@ -185,8 +194,8 @@ def _build_parser():
     p = add("minimal", "matrix", "fn")
     p.add_argument("--point")
     p.add_argument("--mu")
-    p.add_argument("--k-max", type=int, default=24)
-    p.add_argument("--value-max", type=int, default=64)
+    p.add_argument("--k-max", type=_int_flag, default=24)
+    p.add_argument("--value-max", type=_int_flag, default=64)
     p = add("coboundary", "matrix", "fn")
     p.add_argument("mode", choices=["check", "solve"])
     p = add("psi-transfer", "fn")
@@ -219,7 +228,7 @@ def _cmd_higher_block(args):
 
 def _cmd_saturated(args):
     A = _load_matrix(args.matrix)
-    H = A.check_symbols(_parse_symbols(args.H))
+    H = A.check_symbols(set(_parse_word(args.H)))
     witness = has_cycle_within(A, set(range(1, A.n + 1)) - H)
     _emit({"saturated": witness is None, "witness": list(witness) if witness else None})
     return 0 if witness is None else NEGATIVE_VERDICT
@@ -227,7 +236,7 @@ def _cmd_saturated(args):
 
 def _cmd_sigma_family(args):
     A = _load_matrix(args.matrix)
-    family = sigma_family(A, _parse_symbols(args.H))
+    family = sigma_family(A, set(_parse_word(args.H)))
     _emit({"sigma": [list(w) for w in family.words]})
     return 0
 
@@ -236,7 +245,7 @@ def _cmd_inclusion_matrix(args):
     if args.levels < 1:
         raise ValueError("--levels must be at least 1, not %d" % args.levels)
     A = _load_matrix(args.matrix)
-    H = _parse_symbols(args.H)
+    H = set(_parse_word(args.H))
     inc = inclusion_matrix(A, H)
     _emit(
         {

@@ -3,17 +3,17 @@
 An integer function g on the shift is a coboundary, g = b(sigma .) - b
 for some locally constant b, exactly when its sums over all periodic
 orbits vanish; for a depth-K function the periodic orbits are the
-directed cycles of the K-block graph.  The decision never lists those
-cycles.  A potential propagated over a spanning forest either fits
-every edge, and then every cycle sum is zero, or it does not, and then
-a min/max walk-sum recursion over lengths 1, 2, ... finds the shortest
-cycle with a nonzero sum, which serves as the certified witness.  The
-solver verifies every edge and the recomposed coboundary, so a
-successful answer is certified too, and the classifier uses it to sort
-potentials into the three special shapes (positive constants,
-symbol-set indicators, unit coboundaries).  :func:`cycle_sums` remains
-as a small capped report of every simple cycle, for display and for
-cross-checks; no decision relies on it.
+directed cycles of the K-block graph.  Each call builds that graph once
+and never lists its cycles.  A potential propagated over a spanning
+forest either fits every edge, and then every cycle sum is zero, or it
+does not, and then a min/max walk-sum recursion over lengths 1, 2, ...
+on the same graph finds the shortest cycle with a nonzero sum, the
+certified witness.  The solver verifies every edge and the recomposed
+coboundary, so its answer is certified too.  The classifier finds the
+three special shapes (positive constants, symbol-set indicators, unit
+coboundaries) with that verified potential and no witness search.
+:func:`cycle_sums` is a small capped report of every simple cycle; no
+decision relies on it.
 """
 
 import numpy as np
@@ -44,10 +44,10 @@ class NotCoboundaryError(ValueError):
 
 
 def _block_weights(A, g):
-    # Present g as a vertex weight on its depth-adapted block graph.
+    # Present g as a vertex weight on its depth-adapted block graph,
+    # listed by block symbol: weights[a - 1] is g on the word labels[a - 1].
     block, labels = higher_block(A, g.depth)
-    weights = {w: g.table[w] for w in labels}
-    return block, labels, weights
+    return block, labels, [g.table[w] for w in labels]
 
 
 def cycle_sums(A, g, cycle_cap=10**6):
@@ -77,7 +77,7 @@ def cycle_sums(A, g, cycle_cap=10**6):
                             % cycle_cap
                         )
                     cyc = tuple(labels[u - 1] for u in path)
-                    out.append((cyc, sum(weights[w] for w in cyc)))
+                    out.append((cyc, sum(weights[u - 1] for u in path)))
                 elif v > root and v not in on_path:
                     path.append(v)
                     on_path.add(v)
@@ -90,35 +90,33 @@ def cycle_sums(A, g, cycle_cap=10**6):
     return out
 
 
-def _forest_potential(block, labels, weights):
+def _forest_potential(block, weights):
     """A potential with beta(v) - beta(u) = g(u) on every edge u -> v, or None.
 
-    The potential is propagated from the least vertex of each weak
-    component over a spanning tree (edges taken undirected, so
-    reducible matrices are covered too); None means some edge
-    contradicts it.
+    The potential, listed like the weights, is propagated from the least
+    vertex of each weak component over a spanning tree (edges taken
+    undirected, so reducible matrices are covered too); None means some
+    edge contradicts it.
     """
-    forward = {w: [labels[b - 1] for b in block.followers(a)] for a, w in enumerate(labels, 1)}
-    backward = {w: [labels[a - 1] for a in block.predecessors(b)] for b, w in enumerate(labels, 1)}
-    beta = {}
-    for root in labels:  # one spanning tree per weak component
-        if root in beta:
+    beta = [None] * len(weights)
+    for root in range(1, len(weights) + 1):  # one spanning tree per weak component
+        if beta[root - 1] is not None:
             continue
-        beta[root] = 0
+        beta[root - 1] = 0
         stack = [root]
         while stack:
-            w = stack.pop()
-            for v in forward[w]:
-                if v not in beta:
-                    beta[v] = beta[w] + weights[w]
+            a = stack.pop()
+            for v in block.followers(a):
+                if beta[v - 1] is None:
+                    beta[v - 1] = beta[a - 1] + weights[a - 1]
                     stack.append(v)
-            for u in backward[w]:
-                if u not in beta:
-                    beta[u] = beta[w] - weights[u]
+            for u in block.predecessors(a):
+                if beta[u - 1] is None:
+                    beta[u - 1] = beta[a - 1] - weights[u - 1]
                     stack.append(u)
-    for wa in labels:
-        for wb in forward[wa]:
-            if beta[wb] - beta[wa] != weights[wa]:
+    for a in range(1, len(weights) + 1):
+        for v in block.followers(a):
+            if beta[v - 1] - beta[a - 1] != weights[a - 1]:
                 return None
     return beta
 
@@ -187,10 +185,14 @@ def shortest_nonzero_cycle(A, g):
     True
     """
     block, labels, weights = _block_weights(A, g)
-    if _forest_potential(block, labels, weights) is not None:
+    if _forest_potential(block, weights) is not None:
         return None
+    return _nonzero_cycle(block, labels, weights)
+
+
+def _nonzero_cycle(block, labels, w):
+    # The walk-sum search of shortest_nonzero_cycle on a built block graph.
     n = len(labels)
-    w = [weights[x] for x in labels]
     follow = [[b - 1 for b in block.followers(a)] for a in range(1, n + 1)]
     width = max(map(len, follow))
     succ = np.array([vs + vs[:1] * (width - len(vs)) for vs in follow])
@@ -221,6 +223,17 @@ def shortest_nonzero_cycle(A, g):
     return tuple(labels[v] for v in cycle), total
 
 
+def _potential(A, g):
+    # (b, graph): the verified potential of g or None, and the block graph
+    # (block, labels, weights) when an edge refutes every potential, else None.
+    block, labels, weights = _block_weights(A, g)
+    beta = _forest_potential(block, weights)
+    if beta is None:
+        return None, (block, labels, weights)
+    b = LocFun(A, g.depth, dict(zip(labels, beta))).base_normalized()
+    return (b if coboundary_transform(b) - 1 == g else None), None
+
+
 def solve_potential(A, g):
     """Solve g = b(sigma .) - b for a locally constant potential b.
 
@@ -237,24 +250,14 @@ def solve_potential(A, g):
         :func:`shortest_nonzero_cycle`, is attached as the witness), or
         if no locally constant potential exists.
     """
-
-    def fail():
-        found = shortest_nonzero_cycle(A, g)
-        if found is not None:
-            cyc, total = found
-            raise NotCoboundaryError(
-                "cycle %r has sum %d != 0" % (list(cyc), total), witness=cyc
-            )
+    b, graph = _potential(A, g)
+    if b is not None:
+        return b
+    found = None if graph is None else _nonzero_cycle(*graph)
+    if found is None:
         raise NotCoboundaryError("no locally constant potential exists")
-
-    block, labels, weights = _block_weights(A, g)
-    beta = _forest_potential(block, labels, weights)
-    if beta is None:
-        fail()
-    b = LocFun(A, g.depth, beta).base_normalized()
-    if coboundary_transform(b) - 1 != g:
-        fail()
-    return b
+    cyc, total = found
+    raise NotCoboundaryError("cycle %r has sum %d != 0" % (list(cyc), total), witness=cyc)
 
 
 class PotentialClass:
@@ -299,8 +302,8 @@ def classify_potential(A, f):
 
     Checks, in order: positive constant (the suspension shape), depth-1
     indicator of a symbol set, and unit coboundary 1 - b + b(sigma .)
-    (by solving for b on f - 1).  All detected shapes are reported; the
-    overlaps are degenerate and flagged in ``note``.
+    (a verified potential b of f - 1, no witness).  All detected shapes
+    are reported; the overlaps are degenerate and flagged in ``note``.
     """
     kinds = []
     constant = f.table[min(f.table)] if f.is_constant() else None
@@ -310,12 +313,9 @@ def classify_potential(A, f):
     if f.depth == 1 and set(f.table.values()) <= {0, 1}:
         chi_H = frozenset(i for (i,), v in f.table.items() if v == 1)
         kinds.append("chi_H")
-    coboundary_b = None
-    try:
-        coboundary_b = solve_potential(A, f - 1)
+    coboundary_b = _potential(A, f - 1)[0]
+    if coboundary_b is not None:
         kinds.append("coboundary_1b")
-    except NotCoboundaryError:
-        pass
     note = None
     if len(kinds) > 1:
         if constant == 1:

@@ -432,6 +432,10 @@ class MinimalityVerdict:
         return "MinimalityVerdict(%r, certified=%r)" % (self.kind, self.certified)
 
 
+# The verdict's fallback grid: up to this many points z and cylinders mu.
+_GRID_SIZE = 5
+
+
 def _sample_grid(A, size):
     mus = []
     for length in (1, 2, 3, 4):
@@ -468,7 +472,7 @@ def _sample_grid(A, size):
     return zs, mus
 
 
-def minimality_verdict(A, f, k_max=24, value_max=64, grid_size=5):
+def minimality_verdict(A, f, k_max=24, value_max=64):
     """Decide minimality of the potential f, exactly where a class applies.
 
     Exact verdicts: the zero potential is minimal over an irreducible
@@ -481,10 +485,9 @@ def minimality_verdict(A, f, k_max=24, value_max=64, grid_size=5):
     of (z, mu) pairs is searched: exhausted pairs are reported as
     uncertified non-minimality evidence, and full success on the sample
     returns "unknown".  Both search bounds must be nonnegative integers,
-    the grid size a positive one, and f must live on the shift A.
+    and f must live on the shift A.
     """
     k_max, value_max = _integer(k_max, "k_max", 0), _integer(value_max, "value_max", 0)
-    grid_size = _integer(grid_size, "grid_size", 1)
     _check_shift(A, f)
     if not A.irreducible:
         raise ValueError("minimality verdict requires an irreducible matrix")
@@ -519,7 +522,7 @@ def minimality_verdict(A, f, k_max=24, value_max=64, grid_size=5):
                 "minimal", True, "saturated support with primitive inclusion matrix"
             )
 
-    zs, mus = _sample_grid(A, grid_size)
+    zs, mus = _sample_grid(A, _GRID_SIZE)
     exhausted = []
     for z in zs:
         for mu in mus:

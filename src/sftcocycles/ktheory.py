@@ -197,7 +197,12 @@ def dimension_report(M, levels):
     }
 
 
-def perron_value(M, tol=1e-10, max_iter=10**5):
+# Power iteration stops at this relative change, or gives up after this
+# many steps.
+_PERRON_TOL, _PERRON_MAX_ITER = 1e-10, 10**5
+
+
+def perron_value(M):
     """Dominant eigenvalue of an irreducible nonnegative matrix.
 
     Power iteration with relative tolerance; irreducible periodic
@@ -219,11 +224,11 @@ def perron_value(M, tol=1e-10, max_iter=10**5):
     def iterate(mat, shift):
         v = np.ones(mat.shape[0])
         value = 0.0
-        for _ in range(max_iter):
+        for _ in range(_PERRON_MAX_ITER):
             w = mat @ v
             new = float(w.max())
             w = w / new
-            if abs(new - value) <= tol * max(1.0, abs(new)):
+            if abs(new - value) <= _PERRON_TOL * max(1.0, abs(new)):
                 return new - shift
             value, v = new, w
         return None

@@ -163,6 +163,7 @@ class LocFun:
     def __rmul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
+        scalar = _integer(scalar, "scalar")  # refuses a bool, as f + True does
         return LocFun(self.matrix, self.depth, {w: scalar * v for w, v in self.table.items()})
 
     def __eq__(self, other):
@@ -354,6 +355,8 @@ class FullGroupElement:
                     "rule %r -> %r does not preserve the follower set" % (src, dst)
                 )
             cleaned.append((src, dst))
+        if not cleaned:
+            raise ValueError("a full-group element needs at least one rule")
         self.rules = tuple(sorted(cleaned))
         _check_partition(matrix, [src for src, _ in self.rules], "source")
         _check_partition(matrix, [dst for _, dst in self.rules], "target")

@@ -368,6 +368,7 @@ FULL2 = [[1, 1], [1, 1]]
         ({"kind": "full_group", "matrix": FULL2, "rules": [[[1]]]}, "rule [[1]] is not a (src, dst) pair"),
         ({"kind": "full_group", "matrix": FULL2, "rules": [[1, 2]]}, "rule [1, 2] is not a (src, dst) pair"),
         ({"kind": "full_group", "matrix": FULL2, "rules": 5}, "'rules' must be a list"),
+        ({"kind": "full_group", "matrix": FULL2, "rules": []}, "needs at least one rule"),
     ],
 )
 def test_psi_transfer_malformed_code_is_validation_error(files, tmp_path, capsys, doc, message):
@@ -421,6 +422,34 @@ def test_unknown_command_and_flag(files, capsys):
     capsys.readouterr()
     assert main(["words", "--matrix", files["gm.json"], "--wrong", "1"]) == 1
     capsys.readouterr()
+
+
+SEARCH = ["minimal", "--matrix", "full2.json", "--fn", "chi1.json", "--point", ":2", "--mu", "1"]
+INTEGER_FLAGS = {
+    "--m": ["words", "--matrix", "gm.json"],
+    "--K": ["higher-block", "--matrix", "gm.json"],
+    "--levels": ["inclusion-matrix", "--matrix", "gm.json", "--H", "1"],
+    "--k-max": SEARCH,
+    "--value-max": SEARCH,
+}
+
+
+@pytest.mark.parametrize("flag", sorted(INTEGER_FLAGS))
+@pytest.mark.parametrize(
+    "value", ["2", "-1", "+2", "\u0662", "1_0", " 2", "2 ", "two", "1.5", "-"]
+)
+def test_integer_flags_are_ascii_digits(files, capsys, flag, value):
+    # An optional '-' and ASCII digits, as in words; any other spelling is
+    # a usage error, and a negative number reaches the library's check.
+    code = main([files.get(a, a) for a in INTEGER_FLAGS[flag]] + [flag, value])
+    captured = capsys.readouterr()
+    if value == "2":
+        assert code in (0, 4) and json.loads(captured.out)
+    elif value == "-1":
+        assert code == 2 and captured.out == ""
+    else:
+        assert code == 1 and captured.out == ""
+        assert "invalid int value: %r" % value in captured.err
 
 
 def test_byte_identical_output(files, capsys):
@@ -644,8 +673,8 @@ def _code_doc(draw, matrix):
         doc = {"kind": "sliding", "source": matrix, "target": draw(MATRIX),
                "window": window, "table": table}
     else:
-        word = st.lists(st.integers(1, 3), min_size=1, max_size=3)
-        rules = st.lists(st.tuples(word, word).map(list), min_size=1, max_size=4)
+        word = st.lists(st.integers(1, 3), min_size=1, max_size=8)
+        rules = st.lists(st.tuples(word, word).map(list), max_size=4)
         doc = {"kind": "full_group", "matrix": matrix,
                "rules": draw(st.sampled_from([[[[1, 1], [1]], [[1, 2], [2, 1]], [[2], [2, 2]]]]) | rules)}
     return _doc(draw, doc)

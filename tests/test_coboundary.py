@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sftcocycles.coboundary as coboundary
 from sftcocycles import (
     LocFun,
     NotCoboundaryError,
@@ -9,6 +10,7 @@ from sftcocycles import (
     coboundary_transform,
     cycle_sums,
     enumerate_words,
+    higher_block,
     make_chi_H,
     membership_split,
     shortest_nonzero_cycle,
@@ -167,3 +169,34 @@ def test_depth_ten_single_obstruction(full2):
         solve_potential(full2, g)
     assert info.value.witness == cycle
     assert shortest_nonzero_cycle(full2, b.shifted() - b) is None
+
+
+def test_refusal_builds_one_block_graph(golden, monkeypatch):
+    # The witness search runs on the graph the solver already built.
+    calls = []
+
+    def counting(A, K):
+        calls.append(K)
+        return higher_block(A, K)
+
+    monkeypatch.setattr(coboundary, "higher_block", counting)
+    g = LocFun(golden, 2, {(1, 1): 1, (1, 2): 0, (2, 1): 0})
+    with pytest.raises(NotCoboundaryError) as info:
+        solve_potential(golden, g)
+    assert info.value.witness == (((1, 1),)) and calls == [2]
+
+
+def test_classifier_runs_no_witness_search(golden, full2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the classifier searched a witness cycle")
+
+    monkeypatch.setattr(coboundary, "_return_sums", refuse)
+    rng = random.Random(41)
+    for A in (golden, full2):
+        for _ in range(10):
+            # f - 1 >= 0 and not constant: some cycle has a positive sum.
+            f = random_potential(A, rng) + 5
+            if not f.is_constant():
+                assert classify_potential(A, f).kind == "general"
+    with pytest.raises(AssertionError, match="searched"):
+        solve_potential(golden, LocFun(golden, 1, {(1,): 2, (2,): 5}))

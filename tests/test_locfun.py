@@ -154,9 +154,20 @@ def test_locfun_arithmetic(golden):
     g = LocFun(golden, 2, {(1, 1): 1, (1, 2): 2, (2, 1): 3})
     assert (f + g) - g == f
     assert (3 * f).table == {(1,): 3, (2,): 0}
+    assert (np.int64(2) * f).table == {(1,): 2, (2,): 0}
     assert (1 - f).table == {(1,): 0, (2,): 1}
     assert f.shifted().value_on((2, 1)) == 1
     assert f.base_normalized().table == {(1,): 0, (2,): -1}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_scalar_is_refused(golden, flag):
+    # As f + True is: a bool is not an integer scalar.
+    f = make_chi_H(golden, {1})
+    with pytest.raises(ValueError, match="scalar is %r, not an integer" % flag):
+        flag * f
+    with pytest.raises(ValueError, match="value on the word"):
+        f + flag
 
 
 def identity_code(A):
