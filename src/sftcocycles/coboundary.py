@@ -230,7 +230,7 @@ def _potential(A, g):
     beta = _forest_potential(block, weights)
     if beta is None:
         return None, (block, labels, weights)
-    b = LocFun(A, g.depth, dict(zip(labels, beta))).base_normalized()
+    b = LocFun._tabulate(A, g.depth, dict(zip(labels, beta)).__getitem__)
     return (b if coboundary_transform(b) - 1 == g else None), None
 
 

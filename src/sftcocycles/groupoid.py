@@ -24,6 +24,7 @@ from .sft import (
     is_primitive,
 )
 from .coboundary import classify_potential
+from .locfun import cocycle_sum
 from .support import inclusion_matrix
 
 __all__ = [
@@ -271,9 +272,9 @@ class MinimalityWitness:
             return False
         if self.x.shift(self.k) != z.shift(self.l):
             return False
-        fk = sum(f.eval_point(self.x, i) for i in range(self.k))
-        fl = sum(f.eval_point(z, i) for i in range(self.l))
-        return fk == fl
+        K = f.depth
+        fk = cocycle_sum(f, self.x.window(0, self.k + K - 1), self.k)
+        return fk == cocycle_sum(f, z.window(0, self.l + K - 1), self.l)
 
     def as_dict(self):
         return {
@@ -453,8 +454,6 @@ def _sample_grid(A, size):
             break
         cycles.append(cyc)
         remaining -= set(cyc)
-    if not cycles:
-        cycles = [has_cycle_within(A, range(1, A.n + 1))]
     zs, seen = [], set()
     prefixes = [()] + enumerate_words(A, 1) + enumerate_words(A, 2) + enumerate_words(A, 3)
     for pre in prefixes:

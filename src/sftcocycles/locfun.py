@@ -51,11 +51,14 @@ class LocFun:
     table : dict
         Total mapping from every admissible `depth`-word to an integer.
 
-    The depth and every value must be genuine integers; anything else is
+    The constructor checks tables from outside the package: the depth
+    and every value must be genuine integers, and anything else is
     refused with a ``ValueError`` naming it, and so is a table whose keys
-    are not exactly the admissible words.  The constructor normalizes to
-    the minimal depth representing the same function, so equality of
-    functions is equality of tables.
+    are not exactly the admissible words.  A function the package derives
+    from ones it holds (sums, shifts, indicators, coboundaries,
+    transfers) is tabulated once over the admissible words, unchecked.
+    Either way the table is normalized to the minimal depth representing
+    the same function, so equality of functions is equality of tables.
 
     Examples
     --------
@@ -77,6 +80,17 @@ class LocFun:
         self.table = cleaned
 
     @classmethod
+    def _tabulate(cls, matrix, depth, value):
+        # The derived function w -> value(w) on the admissible depth-words,
+        # listed once; its values are integers by construction.
+        self = cls.__new__(cls)
+        self.matrix = matrix
+        self.depth, self.table = _normalize(
+            depth, {w: value(w) for w in enumerate_words(matrix, depth)}
+        )
+        return self
+
+    @classmethod
     def constant(cls, matrix, value):
         return cls(matrix, 1, {(i,): value for i in range(1, matrix.n + 1)})
 
@@ -86,8 +100,7 @@ class LocFun:
         mu = matrix.check_word(mu)
         if not mu:
             return cls.constant(matrix, 1)
-        table = {w: (1 if w == mu else 0) for w in enumerate_words(matrix, len(mu))}
-        return cls(matrix, len(mu), table)
+        return cls._tabulate(matrix, len(mu), lambda w: 1 if w == mu else 0)
 
     def value_on(self, word):
         """The constant value on the cylinder of `word` (len >= depth)."""
@@ -100,15 +113,11 @@ class LocFun:
 
     def eval_point(self, point, offset=0):
         """Value of the function at sigma^offset of an eventually periodic point."""
-        offset = _integer(offset, "offset", 0)
         return self.value_on(point.window(offset, self.depth))
 
     def shifted(self):
         """The composition with the shift, f(sigma .), depth at most K+1."""
-        table = {}
-        for w in enumerate_words(self.matrix, self.depth + 1):
-            table[w] = self.table[w[1:]]
-        return LocFun(self.matrix, self.depth + 1, table)
+        return LocFun._tabulate(self.matrix, self.depth + 1, lambda w: self.table[w[1:]])
 
     def values(self):
         return sorted(set(self.table.values()))
@@ -127,14 +136,6 @@ class LocFun:
         least = min(self.table)
         return self + (-self.table[least])
 
-    def _lift(self, depth):
-        if depth == self.depth:
-            return self.table
-        return {
-            w: self.table[w[: self.depth]]
-            for w in enumerate_words(self.matrix, depth)
-        }
-
     def _binary(self, other, op):
         if isinstance(other, int):
             other = LocFun.constant(self.matrix, other)
@@ -142,9 +143,8 @@ class LocFun:
             return NotImplemented
         if not self.matrix.same_matrix(other.matrix):
             raise ValueError("functions live on different shift spaces")
-        depth = max(self.depth, other.depth)
-        left, right = self._lift(depth), other._lift(depth)
-        return LocFun(self.matrix, depth, {w: op(left[w], right[w]) for w in left})
+        left, right, j, k = self.table, other.table, self.depth, other.depth
+        return LocFun._tabulate(self.matrix, max(j, k), lambda w: op(left[w[:j]], right[w[:k]]))
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -158,13 +158,13 @@ class LocFun:
         return self._binary(other, lambda a, b: b - a)
 
     def __neg__(self):
-        return LocFun(self.matrix, self.depth, {w: -v for w, v in self.table.items()})
+        return LocFun._tabulate(self.matrix, self.depth, lambda w: -self.table[w])
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
         scalar = _integer(scalar, "scalar")  # refuses a bool, as f + True does
-        return LocFun(self.matrix, self.depth, {w: scalar * v for w, v in self.table.items()})
+        return LocFun._tabulate(self.matrix, self.depth, lambda w: scalar * self.table[w])
 
     def __eq__(self, other):
         if not isinstance(other, LocFun):
@@ -242,7 +242,7 @@ def _normalize(depth, table):
 def make_chi_H(A, H):
     """The depth-1 indicator of the symbol set H (1 on H, 0 elsewhere)."""
     H = A.check_symbols(H)
-    return LocFun(A, 1, {(i,): (1 if i in H else 0) for i in range(1, A.n + 1)})
+    return LocFun._tabulate(A, 1, lambda w: 1 if w[0] in H else 0)
 
 
 def cocycle_sum(f, word, n):
@@ -274,8 +274,8 @@ def cocycle_sum(f, word, n):
 
 def coboundary_transform(b):
     """The unit coboundary 1 - b + b(sigma .) attached to the potential b."""
-    one = LocFun.constant(b.matrix, 1)
-    return one - b + b.shifted()
+    K, table = b.depth, b.table
+    return LocFun._tabulate(b.matrix, K + 1, lambda w: 1 - table[w[:K]] + table[w[1:]])
 
 
 class BlockCode:
@@ -387,11 +387,11 @@ class FullGroupElement:
 
     def cocycle_function(self):
         """The cocycle d = |src| - |dst|: sigma^|dst|(tau x) = sigma^|src|(x)."""
-        table = {}
-        for w in enumerate_words(self.matrix, self.max_src):
+        def d(w):
             src, dst = self.rule_for(w)
-            table[w] = len(src) - len(dst)
-        return LocFun(self.matrix, self.max_src, table)
+            return len(src) - len(dst)
+
+        return LocFun._tabulate(self.matrix, self.max_src, d)
 
     def coe_pair(self):
         """Minimal (k1, l1) with sigma^k1(tau(sigma x)) = sigma^l1(tau x).
@@ -412,7 +412,9 @@ class FullGroupElement:
             else:
                 l_table[w] = len(dst)
                 k_table[w] = len(dst2) - delta
-        return LocFun(self.matrix, depth, k_table), LocFun(self.matrix, depth, l_table)
+        return tuple(
+            LocFun._tabulate(self.matrix, depth, t.__getitem__) for t in (k_table, l_table)
+        )
 
 
 def _check_partition(matrix, words, role):
@@ -541,7 +543,7 @@ def psi_transfer(g, h, k1, l1):
     if isinstance(h, BlockCode):
         _verify_block_code_identity(h, k1, l1)
         depth = h.input_length(g.depth)
-        return LocFun(A, depth, {w: g.table[h.apply(w)] for w in enumerate_words(A, depth)})
+        return LocFun._tabulate(A, depth, lambda w: g.table[h.apply(w)])
     raise TypeError("h must be a BlockCode or a FullGroupElement")
 
 
@@ -557,6 +559,4 @@ def _full_group_transfer(g, h):
     for w in enumerate_words(A, h.max_src + K - 1):
         src, dst = h.rule_for(w)
         G[w] = ergodic_sum(dst + w[len(src) :], len(dst)) - ergodic_sum(w, len(src))
-    depth = h.max_src + K
-    table = {w: g.table[w[:K]] + G[w[:-1]] - G[w[1:]] for w in enumerate_words(A, depth)}
-    return LocFun(A, depth, table)
+    return LocFun._tabulate(A, h.max_src + K, lambda w: g.table[w[:K]] + G[w[:-1]] - G[w[1:]])

@@ -480,15 +480,16 @@ class PointSpec:
 
     def symbol(self, i):
         """The i-th symbol of the point, 1-based."""
-        if i < 1:
-            raise ValueError("positions are 1-based")
-        if i <= len(self.preperiod):
-            return self.preperiod[i - 1]
-        return self.period[(i - len(self.preperiod) - 1) % len(self.period)]
+        return self.window(_integer(i, "position", 1) - 1, 1)[0]
 
     def window(self, offset, length):
         """The `length` symbols of the shifted point sigma^offset(.)."""
-        return tuple(self.symbol(offset + 1 + i) for i in range(length))
+        offset = _integer(offset, "offset", 0)
+        pre, per = self.preperiod, self.period
+        return tuple(
+            pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
+            for i in range(offset, offset + _integer(length, "length", 0))
+        )
 
     def shift(self, k):
         """The point shifted left k times, as a new PointSpec."""

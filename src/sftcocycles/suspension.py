@@ -99,8 +99,7 @@ def reduce_to_first_coordinate(A, f):
     if f.min_value() < 1:
         raise ValueError("a ceiling function must be positive")
     block, labels = higher_block(A, f.depth)
-    table = {(i + 1,): f.table[w] for i, w in enumerate(labels)}
-    return block, LocFun(block, 1, table), labels
+    return block, LocFun._tabulate(block, 1, lambda s: f.table[labels[s[0] - 1]]), labels
 
 
 def encode_word(S, word):

@@ -310,6 +310,24 @@ def test_minimality_witness_is_certified_without_assert(full2, monkeypatch):
         minimality_search(full2, one, PointSpec(full2, (), (2,)), (1,))
 
 
+def test_tampered_witness_fails_verification(full2):
+    # Each tampering breaks exactly one of the three checks.
+    f = coboundary_transform(LocFun.indicator_cylinder(full2, (1,)))
+    z, mu = PointSpec(full2, (), (2,)), (1, 2)
+    witness = minimality_search(full2, f, z, mu)
+    x, k, l = witness.x, witness.k, witness.l
+    assert (x, k, l) == (PointSpec(full2, (1,), (2,)), 1, 0)
+    assert witness.verify(full2, f, z, mu)
+    # x = 2 2 2 ... lies outside the cylinder of mu; the zero potential
+    # keeps the sums equal, and sigma(x) = z keeps the tails.
+    zero = LocFun.constant(full2, 0)
+    assert not MinimalityWitness(PointSpec(full2, (), (2,)), k, l).verify(full2, zero, z, mu)
+    # l + 1: sigma(z) = z keeps the tails, but f^1(z) = 1 != f^1(x) = 0.
+    assert not MinimalityWitness(x, k, l + 1).verify(full2, f, z, mu)
+    # The constant 1 sums to k = 1 along x and to l = 0 along z.
+    assert not witness.verify(full2, LocFun.constant(full2, 1), z, mu)
+
+
 def test_potential_and_point_must_live_on_the_shift(golden, full2):
     # chi_{1} of the full 2-shift is not a function on the golden mean
     # shift: it has a value on the word 2 2, which golden does not admit.

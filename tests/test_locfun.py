@@ -16,6 +16,7 @@ from sftcocycles import (
     make_chi_H,
     psi_transfer,
 )
+from sftcocycles import locfun
 
 from conftest import count_in
 
@@ -350,3 +351,50 @@ def test_numpy_integers_become_python_ints(golden):
     assert f.depth == 1 and type(f.depth) is int
     assert f.table == {(1,): 3, (2,): -1}
     assert all(type(v) is int for v in f.table.values())
+
+
+def count_calls(monkeypatch, name):
+    """Wrap sftcocycles.locfun.<name> and count its calls."""
+    calls = []
+    inner = getattr(locfun, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(locfun, name, counted)
+    return calls
+
+
+def test_coboundary_transform_lists_its_words_once(full2, monkeypatch):
+    # A derived function is tabulated once; the outside-input gate is
+    # never entered.
+    b = LocFun(full2, 3, {w: sum(w) % 3 for w in enumerate_words(full2, 3)})
+    listings = count_calls(monkeypatch, "enumerate_words")
+    gated = count_calls(monkeypatch, "_table_values")
+    f = coboundary_transform(b)
+    assert f.depth == 4
+    assert [args[1:] for args in listings] == [(4,)]
+    assert gated == []
+
+
+def test_derived_functions_skip_the_table_gate(golden, full2, monkeypatch):
+    f = LocFun(golden, 2, {(1, 1): 1, (1, 2): -2, (2, 1): 3})
+    g = make_chi_H(golden, {2})
+    code, block, index = two_block_code(golden)
+    potential = LocFun(block, 1, {(s,): s for s in range(1, block.n + 1)})
+    zero, one = LocFun.constant(golden, 0), LocFun.constant(golden, 1)
+    tau = example_full_group_element(full2)
+    k1, l1 = tau.coe_pair()
+    h = LocFun(full2, 2, {w: w[0] - w[1] for w in enumerate_words(full2, 2)})
+    gated = count_calls(monkeypatch, "_table_values")
+    derived = [
+        f + g,
+        -f,
+        2 * f,
+        f.shifted(),
+        psi_transfer(potential, code, zero, one),
+        psi_transfer(h, tau, k1, l1),
+    ]
+    assert gated == []
+    assert derived[0].table == {(1, 1): 1, (1, 2): -2, (2, 1): 4}

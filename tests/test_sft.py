@@ -203,6 +203,9 @@ GATED = [
     ("value_max", lambda v: minimality_search(FULL2, CHI2, PointSpec(FULL2, (), (1,)), (1,), value_max=v)),
     ("k_max", lambda v: minimality_verdict(FULL2, CHI2, k_max=v)),
     ("value_max", lambda v: minimality_verdict(FULL2, CHI2, value_max=v)),
+    ("offset", lambda v: POINT.window(v, 2)),
+    ("length", lambda v: POINT.window(0, v)),
+    ("position", lambda v: POINT.symbol(v)),
 ]
 # Ids are "<parameter>-<row>".  Row 6 was minimality_verdict's grid_size,
 # now a module constant; the rows after it keep their numbers.
@@ -219,3 +222,44 @@ def test_gated_parameter_refuses_a_non_integer(name, call, bad):
 @pytest.mark.parametrize("name, call", GATED, ids=GATED_IDS)
 def test_gated_parameter_accepts_a_numpy_integer(name, call):
     call(np.int64(1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: p.window(True, 2), "offset must be a nonnegative integer"),
+        (lambda p: p.window(-1, 2), "offset must be a nonnegative integer"),
+        (lambda p: p.window(0, -1), "length must be a nonnegative integer"),
+        (lambda p: p.window(1.5, 2), "offset must be a nonnegative integer"),
+        (lambda p: p.window(0, 2.0), "length must be a nonnegative integer"),
+        (lambda p: p.symbol(0), "position must be an integer >= 1"),
+        (lambda p: p.symbol(True), "position must be an integer >= 1"),
+        (lambda p: make_chi_H(GOLDEN, {1}).eval_point(p, -1), "offset must be a nonnegative"),
+    ],
+    ids=[
+        "window-offset-bool",
+        "window-offset-negative",
+        "window-length-negative",
+        "window-offset-float",
+        "window-length-float",
+        "symbol-zero",
+        "symbol-bool",
+        "eval_point-offset-negative",
+    ],
+)
+def test_point_window_and_symbol_are_gated(call, message):
+    with pytest.raises(ValueError, match="^" + message):
+        call(POINT)
+
+
+@pytest.mark.parametrize(
+    "matrix, pre, per",
+    [(GOLDEN, (), (1,)), (GOLDEN, (2,), (1,)), (GOLDEN, (2, 1, 1), (1, 2)), (FULL2, (1,), (2, 1, 1))],
+)
+def test_point_window_matches_symbol_reading(matrix, pre, per):
+    p = PointSpec(matrix, pre, per)
+    sequence = pre + per * 20
+    for o in range(9):
+        for n in range(9):
+            assert p.window(o, n) == sequence[o : o + n]
+            assert p.window(o, n) == tuple(p.symbol(o + 1 + i) for i in range(n))
