@@ -154,19 +154,13 @@ def _load_code(path):
     raise ValueError("unknown code kind %r" % kind)
 
 
-def _point_string(point):
-    return "%s:%s" % (
-        ",".join(str(s) for s in point.preperiod),
-        ",".join(str(s) for s in point.period),
-    )
-
-
 def _build_parser():
     parser = _Parser(prog="sftcocycles", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *flags):
+    def add(name, run, *flags):
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         if "matrix" in flags:
             p.add_argument("--matrix", required=True)
         if "fn" in flags:
@@ -178,32 +172,32 @@ def _build_parser():
             p.add_argument("--nu", required=True)
         return p
 
-    add("validate", "matrix")
-    p = add("words", "matrix")
+    add("validate", _cmd_validate, "matrix")
+    p = add("words", _cmd_words, "matrix")
     p.add_argument("--m", type=_int_flag, required=True)
-    p = add("higher-block", "matrix")
+    p = add("higher-block", _cmd_higher_block, "matrix")
     p.add_argument("--K", type=_int_flag, required=True)
-    add("saturated", "matrix", "H")
-    add("sigma-family", "matrix", "H")
-    p = add("inclusion-matrix", "matrix", "H")
+    add("saturated", _cmd_saturated, "matrix", "H")
+    add("sigma-family", _cmd_sigma_family, "matrix", "H")
+    p = add("inclusion-matrix", _cmd_inclusion_matrix, "matrix", "H")
     p.add_argument("--levels", type=_int_flag, default=3)
-    add("suspend", "matrix", "fn")
-    add("split", "matrix", "fn", "munu")
-    add("fixed-generator", "matrix", "fn", "munu")
-    add("expectation", "matrix", "fn", "munu")
-    p = add("minimal", "matrix", "fn")
+    add("suspend", _cmd_suspend, "matrix", "fn")
+    add("split", _cmd_split, "matrix", "fn", "munu")
+    add("fixed-generator", _cmd_fixed_generator, "matrix", "fn", "munu")
+    add("expectation", _cmd_expectation, "matrix", "fn", "munu")
+    p = add("minimal", _cmd_minimal, "matrix", "fn")
     p.add_argument("--point")
     p.add_argument("--mu")
     p.add_argument("--k-max", type=_int_flag, default=24)
     p.add_argument("--value-max", type=_int_flag, default=64)
-    p = add("coboundary", "matrix", "fn")
+    p = add("coboundary", _cmd_coboundary, "matrix", "fn")
     p.add_argument("mode", choices=["check", "solve"])
-    p = add("psi-transfer", "fn")
+    p = add("psi-transfer", _cmd_psi_transfer, "fn")
     p.add_argument("--code", required=True)
     p.add_argument("--k1", required=True)
     p.add_argument("--l1", required=True)
-    add("ktheory", "matrix")
-    sub.add_parser("examples")
+    add("ktheory", _cmd_ktheory, "matrix")
+    add("examples", _run_examples)
     return parser
 
 
@@ -252,7 +246,7 @@ def _cmd_inclusion_matrix(args):
             "sigma": [list(w) for w in inc.family.words],
             "A_H": inc.tolist(),
             "saturated": True,
-            "primitive": bool(is_primitive(inc.matrix)),
+            "primitive": is_primitive(inc.matrix),
             "dims": dimension_report(inc.matrix, args.levels)["vectors"],
         }
     )
@@ -366,7 +360,7 @@ def _cmd_ktheory(args):
     return 0
 
 
-def _run_examples():
+def _run_examples(args):
     checks = []
 
     golden = TransitionMatrix([[1, 1], [1, 0]])
@@ -416,35 +410,14 @@ def _run_examples():
     return 0 if doc["passed"] else NEGATIVE_VERDICT
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "words": _cmd_words,
-    "higher-block": _cmd_higher_block,
-    "saturated": _cmd_saturated,
-    "sigma-family": _cmd_sigma_family,
-    "inclusion-matrix": _cmd_inclusion_matrix,
-    "suspend": _cmd_suspend,
-    "split": _cmd_split,
-    "fixed-generator": _cmd_fixed_generator,
-    "expectation": _cmd_expectation,
-    "minimal": _cmd_minimal,
-    "coboundary": _cmd_coboundary,
-    "psi-transfer": _cmd_psi_transfer,
-    "ktheory": _cmd_ktheory,
-}
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
-    if args.command == "examples":
-        return _run_examples()
-    handler = _COMMANDS[args.command]
     try:
-        return handler(args)
+        return args.run(args)
     except (NotSaturatedError, NotCoboundaryError, TransferIdentityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return NEGATIVE_VERDICT

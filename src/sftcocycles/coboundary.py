@@ -19,7 +19,7 @@ decision relies on it.
 import numpy as np
 
 from .sft import _integer, higher_block
-from .locfun import LocFun, coboundary_transform
+from .locfun import LocFun, _check_shift, coboundary_transform
 
 __all__ = [
     "NotCoboundaryError",
@@ -46,6 +46,7 @@ class NotCoboundaryError(ValueError):
 def _block_weights(A, g):
     # Present g as a vertex weight on its depth-adapted block graph,
     # listed by block symbol: weights[a - 1] is g on the word labels[a - 1].
+    _check_shift(A, g, name="the function")
     block, labels = higher_block(A, g.depth)
     return block, labels, [g.table[w] for w in labels]
 

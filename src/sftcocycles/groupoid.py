@@ -24,7 +24,7 @@ from .sft import (
     is_primitive,
 )
 from .coboundary import classify_potential
-from .locfun import cocycle_sum
+from .locfun import _check_shift, cocycle_sum
 from .support import inclusion_matrix
 
 __all__ = [
@@ -165,14 +165,6 @@ class MembershipSplit:
             list(self.inside),
             list(self.outside),
         )
-
-
-def _check_shift(A, f, z=None):
-    """Refuse a potential f, or a point z, that does not live on the shift A."""
-    if not A.same_matrix(f.matrix):
-        raise ValueError("f must live on the shift A")
-    if z is not None and not A.same_matrix(z.matrix):
-        raise ValueError("z must be a point of the shift A")
 
 
 def membership_split(A, f, z):

@@ -1,20 +1,21 @@
 """Integer linear algebra invariants: Smith form, K-groups, dimension data.
 
-Everything here is exact: matrices are handled as Python integers, so
-pivots can grow without overflow, and the Smith normal form recomputes
-U.M.V = D after every run as a self-check.  The K-groups of the
-Cuntz-Krieger algebra of a transition matrix come out of the Smith form
-of I - A^T (cokernel and kernel); dimension vectors of a stationary
-inclusion matrix are iterated exactly, with a deliberately narrow UHF
-detection; the Perron value is the one floating-point quantity, used
-only for reports.
+Matrices are read through the package's integer gate and handled as
+Python integers, so pivots can grow without overflow, and the Smith
+normal form recomputes U.M.V = D after every run as a self-check.  The
+K-groups of the Cuntz-Krieger algebra of a transition matrix come out
+of the Smith form of I - A^T (cokernel and kernel); dimension vectors of
+a stationary inclusion matrix are iterated exactly, with a deliberately
+narrow UHF detection.  Two quantities are floats, both for reports
+only: the Perron value, by power iteration, and the rounded growth
+ratios of :func:`dimension_report`.  Everything else is exact.
 """
 
 from operator import mul
 
 import numpy as np
 
-from .sft import _integer, _int_rows, is_irreducible
+from .sft import TransitionMatrix, _graph, _integer, _int_rows, _strong_levels
 
 __all__ = [
     "smith_normal_form",
@@ -203,20 +204,26 @@ _PERRON_TOL, _PERRON_MAX_ITER = 1e-10, 10**5
 
 
 def perron_value(M):
-    """Dominant eigenvalue of an irreducible nonnegative matrix.
+    """Dominant eigenvalue of an irreducible nonnegative integer matrix.
 
-    Power iteration with relative tolerance; irreducible periodic
-    matrices (where plain iteration oscillates) are handled by iterating
-    on M + I, which is primitive and shifts the Perron value by exactly
-    one.  Reducible input is refused with guidance, since the dominant
-    eigenvalue then belongs to a proper component.
+    Takes a :class:`TransitionMatrix` or any square integer matrix, read
+    through the integer gate.  Power iteration with relative tolerance;
+    irreducible periodic matrices (where plain iteration oscillates) are
+    handled by iterating on M + I, which is primitive and shifts the
+    Perron value by exactly one.  Reducible input is refused with
+    guidance, since the dominant eigenvalue then belongs to a proper
+    component.
     """
-    arr = np.asarray(M, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("need a square matrix")
+    graph = _graph(M)
+    if isinstance(M, TransitionMatrix):
+        M = M.entries
+    try:
+        arr = np.asarray(M, dtype=float)
+    except OverflowError:
+        raise ValueError("matrix entries are too large for the power iteration") from None
     if (arr < 0).any():
         raise ValueError("need a nonnegative matrix")
-    if not is_irreducible(arr):
+    if _strong_levels(*graph) is None:
         raise ValueError(
             "matrix is reducible; restrict to an irreducible component first"
         )

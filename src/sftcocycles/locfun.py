@@ -191,6 +191,14 @@ class LocFun:
         }
 
 
+def _check_shift(A, f, z=None, name="f"):
+    """Refuse a function f, or a point z, that does not live on the shift A."""
+    if not A.same_matrix(f.matrix):
+        raise ValueError("%s must live on the shift A" % name)
+    if z is not None and not A.same_matrix(z.matrix):
+        raise ValueError("z must be a point of the shift A")
+
+
 def _table_values(A, m, table, name):
     """The admissible m-words in order, and the table's values on them.
 

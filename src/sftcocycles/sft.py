@@ -83,11 +83,15 @@ def _int_rows(M):
     """The matrix as a list of rows of Python ints, checked rectangular.
 
     Entries pass the integer gate, so a float, string or null entry is
-    refused, naming its row and column, instead of being coerced.
+    refused, naming its row and column, instead of being coerced.  A 2-D
+    NumPy array of integer dtype holds integers by its dtype and is
+    converted without the per-entry check.
     """
     if isinstance(M, np.ndarray):
         if M.dtype.kind not in "iuO":
             raise ValueError("matrix entries must be integers, not %s" % M.dtype)
+        if M.ndim == 2 and M.dtype.kind != "O":
+            return M.tolist()
         M = M.tolist()
     try:
         rows = [list(row) for row in M]
@@ -104,24 +108,29 @@ def _int_rows(M):
 def _graph(entries):
     """The size and the follower and predecessor lookups of a matrix.
 
-    Accepts a :class:`TransitionMatrix` or any square nonnegative
-    array-like, whose positive entries are the edges.  Each lookup maps
-    a symbol to its neighbouring symbols; for an array they read one row
-    of the array or of its transpose when asked, so a search that stops
-    early never converts the rest.
+    Accepts a :class:`TransitionMatrix` or any square matrix of
+    integers, whose positive entries are the edges.  Any other matrix is
+    read once through the integer gate :func:`_int_rows`, so a float,
+    bool, string or null entry is refused naming its cell.  Each lookup
+    maps a symbol to its neighbouring symbols as a list; for such a
+    matrix they read one row, or one column, when asked, so a search
+    that stops early never reads the rest.
     """
     if isinstance(entries, TransitionMatrix):
         return entries.n, entries.followers, entries.predecessors
-    arr = np.asarray(entries) > 0
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+    rows = _int_rows(entries)
+    n = len(rows)
+    if n == 0 or len(rows[0]) != n:
         raise ValueError("need a nonempty square matrix")
-    symbols = np.arange(1, arr.shape[0] + 1)
-    arr_t = arr.T
-    return (
-        arr.shape[0],
-        lambda s: symbols[arr[s - 1]].tolist(),
-        lambda s: symbols[arr_t[s - 1]].tolist(),
-    )
+    symbols = range(1, n + 1)
+
+    def followers(s):
+        return [j for j, v in zip(symbols, rows[s - 1]) if v > 0]
+
+    def predecessors(s):
+        return [i for i, row in zip(symbols, rows) if row[s - 1] > 0]
+
+    return n, followers, predecessors
 
 
 def _bfs_levels(n, neighbours):
@@ -167,9 +176,10 @@ def _period(followers, level):
 def is_irreducible(entries):
     """Return True iff the matrix is irreducible (its graph strongly connected).
 
-    Takes a :class:`TransitionMatrix` or any square nonnegative
-    array-like.  One breadth-first search forward and one backward from
-    symbol 1, so the answer is exact and linear in the number of edges.
+    Takes a :class:`TransitionMatrix` or any square integer matrix,
+    whose positive entries are the edges.  One breadth-first search
+    forward and one backward from symbol 1, so the answer is exact and
+    linear in the number of edges.
     By convention a single symbol is irreducible even without a loop.
     """
     return _strong_levels(*_graph(entries)) is not None
@@ -178,11 +188,11 @@ def is_irreducible(entries):
 def is_primitive(entries):
     """Return True iff some power of the nonnegative matrix is positive.
 
-    Takes a :class:`TransitionMatrix` or any square nonnegative
-    array-like.  A matrix is primitive exactly when it is irreducible
-    with period 1; the period comes from the breadth-first levels of the
-    irreducibility search, so the cost is linear in the number of edges
-    and no floating point is involved.
+    Takes a :class:`TransitionMatrix` or any square integer matrix,
+    whose positive entries are the edges.  A matrix is primitive exactly
+    when it is irreducible with period 1; the period comes from the
+    breadth-first levels of the irreducibility search, so the cost is
+    linear in the number of edges and no floating point is involved.
     """
     n, followers, predecessors = _graph(entries)
     level = _strong_levels(n, followers, predecessors)

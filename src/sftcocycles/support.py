@@ -16,8 +16,6 @@ The family is ordered lexicographically, which pins the matrix down up
 to the permutation relating it to any ad-hoc numbering.
 """
 
-import numpy as np
-
 from .sft import _integer, has_cycle_within
 
 __all__ = [
@@ -124,11 +122,11 @@ def sigma_family(A, H):
 class InclusionMatrix:
     """The 0/1 concatenability matrix of a first-passage family.
 
-    Entry (m, n) is 1 exactly when the m-th family word followed by the
-    n-th is admissible, i.e. when the transition from the last symbol of
-    the one to the first symbol of the other is allowed.  This is the
-    incidence data of the canonical finite-dimensional filtration of the
-    support algebra.
+    ``matrix`` is a tuple of row tuples.  Entry (m, n) is 1 exactly when
+    the m-th family word followed by the n-th is admissible, i.e. when
+    the transition from the last symbol of the one to the first symbol
+    of the other is allowed.  This is the incidence data of the
+    canonical finite-dimensional filtration of the support algebra.
     """
 
     __slots__ = ("family", "matrix")
@@ -142,7 +140,7 @@ class InclusionMatrix:
         return self.family.size
 
     def tolist(self):
-        return [[int(v) for v in row] for row in self.matrix]
+        return [list(row) for row in self.matrix]
 
     def __repr__(self):
         return "InclusionMatrix(%r)" % (self.tolist(),)
@@ -152,14 +150,13 @@ def inclusion_matrix(A, H):
     """Build the inclusion matrix over the lexicographic Sigma_H order."""
     family = sigma_family(A, H)
     firsts = [w[0] for w in family.words]
-    # A row depends only on the last symbol of its word: it marks the
-    # words whose first symbol may follow that symbol.
-    rows = np.array(
-        [np.isin(firsts, A.followers(s)) for s in range(1, A.n + 1)], dtype=np.int64
-    )
-    arr = rows[[w[-1] - 1 for w in family.words]]
-    arr.setflags(write=False)
-    return InclusionMatrix(family, arr)
+    # A row depends only on the last symbol of its word, a symbol of H:
+    # it marks the words whose first symbol may follow that symbol.
+    rows = {}
+    for s in family.H:
+        fol = A.follower_set(s)
+        rows[s] = tuple([1 if f in fol else 0 for f in firsts])
+    return InclusionMatrix(family, tuple(rows[w[-1]] for w in family.words))
 
 
 class CensusResult:

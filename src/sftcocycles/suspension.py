@@ -16,7 +16,7 @@ restriction is implemented, which is all the finite checks need.
 """
 
 from .sft import TransitionMatrix, _integers, higher_block
-from .locfun import LocFun
+from .locfun import LocFun, _check_shift
 
 __all__ = [
     "SuspendedMatrix",
@@ -96,6 +96,7 @@ def reduce_to_first_coordinate(A, f):
     the depth-1 ceiling on it, and the label table back to K-words.
     Depth-1 input is returned unchanged (up to the trivial labels).
     """
+    _check_shift(A, f)
     if f.min_value() < 1:
         raise ValueError("a ceiling function must be positive")
     block, labels = higher_block(A, f.depth)

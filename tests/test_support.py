@@ -87,7 +87,7 @@ def test_inclusion_matrix_consistency(golden, zero_diag3):
         inc = inclusion_matrix(A, H)
         for a, wa in enumerate(inc.family.words):
             for b, wb in enumerate(inc.family.words):
-                assert inc.matrix[a, b] == int(A.is_admissible(wa + wb))
+                assert inc.matrix[a][b] == int(A.is_admissible(wa + wb))
 
 
 def test_primitivity_examples(golden, zero_diag3):
