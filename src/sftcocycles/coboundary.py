@@ -46,7 +46,7 @@ class NotCoboundaryError(ValueError):
 def _block_weights(A, g):
     # Present g as a vertex weight on its depth-adapted block graph,
     # listed by block symbol: weights[a - 1] is g on the word labels[a - 1].
-    _check_shift(A, g, name="the function")
+    _check_shift(A, g)
     block, labels = higher_block(A, g.depth)
     return block, labels, [g.table[w] for w in labels]
 

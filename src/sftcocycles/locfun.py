@@ -191,10 +191,10 @@ class LocFun:
         }
 
 
-def _check_shift(A, f, z=None, name="f"):
+def _check_shift(A, f, z=None):
     """Refuse a function f, or a point z, that does not live on the shift A."""
     if not A.same_matrix(f.matrix):
-        raise ValueError("%s must live on the shift A" % name)
+        raise ValueError("f must live on the shift A")
     if z is not None and not A.same_matrix(z.matrix):
         raise ValueError("z must be a point of the shift A")
 

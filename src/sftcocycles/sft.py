@@ -83,15 +83,11 @@ def _int_rows(M):
     """The matrix as a list of rows of Python ints, checked rectangular.
 
     Entries pass the integer gate, so a float, string or null entry is
-    refused, naming its row and column, instead of being coerced.  A 2-D
-    NumPy array of integer dtype holds integers by its dtype and is
-    converted without the per-entry check.
+    refused, naming its row and column, instead of being coerced.
     """
     if isinstance(M, np.ndarray):
         if M.dtype.kind not in "iuO":
             raise ValueError("matrix entries must be integers, not %s" % M.dtype)
-        if M.ndim == 2 and M.dtype.kind != "O":
-            return M.tolist()
         M = M.tolist()
     try:
         rows = [list(row) for row in M]

@@ -55,7 +55,7 @@ def test_non_square_matrices_are_refused(fn):
             fn(bad)
 
 
-def test_integer_arrays_skip_the_entry_gate():
+def test_integer_arrays_read_as_python_ints():
     for dtype in (np.int8, np.int64, np.uint16, np.uint64):
         arr = np.array([[1, 2], [0, 3]], dtype=dtype)
         rows = _int_rows(arr)

@@ -56,13 +56,13 @@ def test_equal_matrix_is_the_same_shift(golden):
 def test_loops_the_home_shift_forbids_are_not_reported(golden, full2):
     g = LocFun(golden, 1, {(1,): 0, (2,): 1})
     for entry in (solve_potential, cycle_sums, classify_potential, shortest_nonzero_cycle):
-        with pytest.raises(ValueError, match="the function must live on the shift A"):
+        with pytest.raises(ValueError, match="f must live on the shift A"):
             entry(full2, g)
     h = LocFun(full2, 1, {(1,): 1, (2,): -1})
-    with pytest.raises(ValueError, match="the function must live on the shift A"):
+    with pytest.raises(ValueError, match="f must live on the shift A"):
         shortest_nonzero_cycle(golden, h)
     deep = LocFun(golden, 2, {(1, 1): 1, (1, 2): 2, (2, 1): 3})
-    with pytest.raises(ValueError, match="the function must live on the shift A"):
+    with pytest.raises(ValueError, match="f must live on the shift A"):
         shortest_nonzero_cycle(full2, deep)
     with pytest.raises(ValueError, match="f must live on the shift A"):
         reduce_to_first_coordinate(full2, deep)
