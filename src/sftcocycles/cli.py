@@ -355,7 +355,7 @@ def _cmd_ktheory(args):
     A = _load_matrix(args.matrix)
     groups = ck_k_groups(A)
     doc = dict(groups)
-    doc["perron"] = round(perron_value(A.entries), 12)
+    doc["perron"] = round(perron_value(A), 12)
     _emit(doc)
     return 0
 

@@ -7,7 +7,7 @@ K-groups of the Cuntz-Krieger algebra of a transition matrix come out
 of the Smith form of I - A^T (cokernel and kernel); dimension vectors of
 a stationary inclusion matrix are iterated exactly, with a deliberately
 narrow UHF detection.  Two quantities are floats, both for reports
-only: the Perron value, by power iteration, and the rounded growth
+only: the Perron value, as the spectral radius, and the rounded growth
 ratios of :func:`dimension_report`.  Everything else is exact.
 """
 
@@ -175,9 +175,13 @@ def dimension_report(M, levels):
     """
     rows = _int_rows(M)
     levels = _integer(levels, "levels", 1)
+    size = len(rows)
+    if rows and len(rows[0]) != size:
+        raise ValueError(
+            "inclusion matrices are square, got %d x %d" % (size, len(rows[0]))
+        )
     if any(min(row, default=0) < 0 for row in rows):
         raise ValueError("inclusion matrices are nonnegative")
-    size = len(rows)
     cols = list(zip(*rows))
     vectors = [[1] * size]
     for _ in range(levels - 1):
@@ -198,51 +202,37 @@ def dimension_report(M, levels):
     }
 
 
-# Power iteration stops at this relative change, or gives up after this
-# many steps.
-_PERRON_TOL, _PERRON_MAX_ITER = 1e-10, 10**5
-
-
 def perron_value(M):
     """Dominant eigenvalue of an irreducible nonnegative integer matrix.
 
     Takes a :class:`TransitionMatrix` or any square integer matrix, read
-    through the integer gate.  Power iteration with relative tolerance;
-    irreducible periodic matrices (where plain iteration oscillates) are
-    handled by iterating on M + I, which is primitive and shifts the
-    Perron value by exactly one.  Reducible input is refused with
-    guidance, since the dominant eigenvalue then belongs to a proper
-    component.
+    through the integer gate.  The value is the spectral radius, which
+    for an irreducible nonnegative matrix is the Perron value whatever
+    its period.  Reducible input is refused with guidance, since the
+    dominant eigenvalue then belongs to a proper component.
+
+    Examples
+    --------
+    >>> round(perron_value([[1, 1], [1, 0]]), 12)
+    1.61803398875
+    >>> round(perron_value([[0, 1, 0], [1, 0, 1], [0, 1, 1]]), 12)
+    1.801937735805
     """
     graph = _graph(M)
     if isinstance(M, TransitionMatrix):
         M = M.entries
+    too_large = "matrix entries are too large for a float eigenvalue"
     try:
         arr = np.asarray(M, dtype=float)
     except OverflowError:
-        raise ValueError("matrix entries are too large for the power iteration") from None
+        raise ValueError(too_large) from None
     if (arr < 0).any():
         raise ValueError("need a nonnegative matrix")
     if _strong_levels(*graph) is None:
         raise ValueError(
             "matrix is reducible; restrict to an irreducible component first"
         )
-
-    def iterate(mat, shift):
-        v = np.ones(mat.shape[0])
-        value = 0.0
-        for _ in range(_PERRON_MAX_ITER):
-            w = mat @ v
-            new = float(w.max())
-            w = w / new
-            if abs(new - value) <= _PERRON_TOL * max(1.0, abs(new)):
-                return new - shift
-            value, v = new, w
-        return None
-
-    result = iterate(arr, 0.0)
-    if result is None:
-        result = iterate(arr + np.eye(arr.shape[0]), 1.0)
-    if result is None:
-        raise ValueError("power iteration did not converge")
-    return result
+    value = float(np.abs(np.linalg.eigvals(arr)).max())
+    if not np.isfinite(value):
+        raise ValueError(too_large)
+    return value

@@ -83,11 +83,17 @@ class LocFun:
     def _tabulate(cls, matrix, depth, value):
         # The derived function w -> value(w) on the admissible depth-words,
         # listed once; its values are integers by construction.
+        return cls._from_table(
+            matrix, depth, {w: value(w) for w in enumerate_words(matrix, depth)}
+        )
+
+    @classmethod
+    def _from_table(cls, matrix, depth, table):
+        # A table the package built over the admissible depth-words,
+        # normalized but not checked.
         self = cls.__new__(cls)
         self.matrix = matrix
-        self.depth, self.table = _normalize(
-            depth, {w: value(w) for w in enumerate_words(matrix, depth)}
-        )
+        self.depth, self.table = _normalize(depth, table)
         return self
 
     @classmethod
@@ -420,8 +426,9 @@ class FullGroupElement:
             else:
                 l_table[w] = len(dst)
                 k_table[w] = len(dst2) - delta
-        return tuple(
-            LocFun._tabulate(self.matrix, depth, t.__getitem__) for t in (k_table, l_table)
+        return (
+            LocFun._from_table(self.matrix, depth, k_table),
+            LocFun._from_table(self.matrix, depth, l_table),
         )
 
 

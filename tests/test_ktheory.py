@@ -152,6 +152,12 @@ def test_perron_rejects_reducible():
         perron_value([[1, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("M", [[[1, 1, 1], [1, 1, 1]], [[1, 1], [1, 1], [1, 0]]])
+def test_dimension_report_refuses_non_square_matrices(M):
+    with pytest.raises(ValueError, match="square"):
+        dimension_report(M, 3)
+
+
 @pytest.mark.parametrize("bad", [2.7, 1.5, True, None])
 def test_entries_must_be_integers(bad):
     with pytest.raises(ValueError, match=r"entry \(2, 1\) is .*not an integer"):

@@ -378,6 +378,15 @@ def test_coboundary_transform_lists_its_words_once(full2, monkeypatch):
     assert gated == []
 
 
+def test_coe_pair_lists_its_words_once(full2, monkeypatch):
+    tau = example_full_group_element(full2)
+    listings = count_calls(monkeypatch, "enumerate_words")
+    gated = count_calls(monkeypatch, "_table_values")
+    tau.coe_pair()
+    assert [args[1:] for args in listings] == [(1 + tau.max_src,)]
+    assert gated == []
+
+
 def test_derived_functions_skip_the_table_gate(golden, full2, monkeypatch):
     f = LocFun(golden, 2, {(1, 1): 1, (1, 2): -2, (2, 1): 3})
     g = make_chi_H(golden, {2})

@@ -121,8 +121,8 @@ def test_matrix_forms_give_identical_flags():
         rows = arr.tolist()
         forms = (rows, tuple(map(tuple, rows)), arr)
         assert len({(is_irreducible(M), is_primitive(M)) for M in forms}) == 1, rows
-        if is_primitive(rows):
-            # Bit-identical floats: one float array feeds the same iteration.
+        if is_irreducible(rows):
+            # Bit-identical floats: one float array feeds the same solver.
             values = {perron_value(M) for M in forms}
             assert len(values) == 1, (rows, values)
             checked += 1
