@@ -267,8 +267,7 @@ class PotentialClass:
     ``kinds`` lists every detected shape in detection order (positive
     constant, symbol-set indicator, unit coboundary); ``kind`` is the
     first of them, or "general".  The shapes are mutually exclusive
-    except at the constant function 1, which is all three at once (and
-    the zero function, which is the indicator of the empty set); the
+    except at the constant function 1, which is all three at once; the
     ``note`` field spells the degeneracy out when it happens.
     """
 
@@ -325,8 +324,6 @@ def classify_potential(A, f):
                 "the indicator of the full alphabet, and the unit coboundary "
                 "of a constant potential"
             )
-        elif constant == 0 and chi_H == frozenset():
-            note = "the zero function is the indicator of the empty set"
         else:
             note = "degenerate overlap of potential shapes: %s" % ", ".join(kinds)
     kind = kinds[0] if kinds else "general"

@@ -16,6 +16,8 @@ partition, and the fixed-generator predicate, expectation support,
 and minimality search are built on top of it.
 """
 
+from itertools import chain, islice
+
 from .sft import (
     PointSpec,
     _integer,
@@ -430,14 +432,8 @@ _GRID_SIZE = 5
 
 
 def _sample_grid(A, size):
-    mus = []
-    for length in (1, 2, 3, 4):
-        for w in enumerate_words(A, length):
-            mus.append(w)
-            if len(mus) == size:
-                break
-        if len(mus) == size:
-            break
+    words = chain.from_iterable(enumerate_words(A, m) for m in (1, 2, 3, 4))
+    mus = list(islice(words, size))
     cycles = []
     remaining = set(range(1, A.n + 1))
     while remaining:
@@ -446,20 +442,17 @@ def _sample_grid(A, size):
             break
         cycles.append(cyc)
         remaining -= set(cyc)
-    zs, seen = [], set()
-    prefixes = [()] + enumerate_words(A, 1) + enumerate_words(A, 2) + enumerate_words(A, 3)
-    for pre in prefixes:
-        for cyc in cycles:
-            try:
+    zs = []
+    for m in range(4):
+        for pre in enumerate_words(A, m):
+            for cyc in cycles:
+                if pre and cyc[0] not in A.follower_set(pre[-1]):
+                    continue
                 z = PointSpec(A, pre, cyc)
-            except ValueError:
-                continue
-            if z.canonical() in seen:
-                continue
-            seen.add(z.canonical())
-            zs.append(z)
-            if len(zs) == size:
-                return zs, mus
+                if z not in zs:
+                    zs.append(z)
+                    if len(zs) == size:
+                        return zs, mus
     return zs, mus
 
 

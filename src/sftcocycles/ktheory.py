@@ -176,11 +176,13 @@ def dimension_report(M, levels):
     rows = _int_rows(M)
     levels = _integer(levels, "levels", 1)
     size = len(rows)
-    if rows and len(rows[0]) != size:
+    if not rows:
+        raise ValueError("need a nonempty square matrix")
+    if len(rows[0]) != size:
         raise ValueError(
             "inclusion matrices are square, got %d x %d" % (size, len(rows[0]))
         )
-    if any(min(row, default=0) < 0 for row in rows):
+    if any(min(row) < 0 for row in rows):
         raise ValueError("inclusion matrices are nonnegative")
     cols = list(zip(*rows))
     vectors = [[1] * size]
@@ -192,7 +194,7 @@ def dimension_report(M, levels):
         round(b / a, 12) for a, b in zip(totals, totals[1:]) if a
     ]
     uhf_factor = None
-    if size and all(row == rows[0] for row in rows[1:]):
+    if all(row == rows[0] for row in rows[1:]):
         uhf_factor = sum(rows[0])
     return {
         "vectors": vectors,

@@ -416,38 +416,38 @@ def higher_block(A, K):
 def has_cycle_within(A, symbols):
     """Search for a directed cycle staying inside the symbol set.
 
-    Returns the shortest such cycle as a word (lexicographically least
-    among the shortest; the closing edge from last symbol back to first
-    is admissible but not repeated), or None when the restricted graph
-    is acyclic.  The full symbol set always yields a cycle, because a
-    valid matrix has no zero row.
+    Returns the shortest such cycle as a word, or None when the
+    restricted graph is acyclic; the closing edge from last symbol back
+    to first is admissible but not repeated.  Among the shortest cycles
+    the answer has the least start, and among those it is
+    lexicographically least.  The full symbol set always yields a cycle,
+    because a valid matrix has no zero row.  One breadth-first walk per
+    start costs O(|S| + E) time and O(|S|) memory, E counting the edges
+    leaving S, so the whole search is O(|S| * (|S| + E)) time.
     """
     allowed = A.check_symbols(symbols)
     best = None
     for start in sorted(allowed):
-        # BFS with children expanded in ascending order finds, for each
-        # vertex, the lexicographically least shortest path from start.
-        if start in A.followers(start):
-            candidate = (start,)
-            if best is None or (1, candidate) < (len(best), best):
-                best = candidate
-            continue
-        paths = {start: (start,)}
-        frontier = [(start,)]
-        while frontier and (best is None or len(frontier[0]) < len(best)):
-            nxt = []
-            for path in frontier:
-                for j in A.followers(path[-1]):
-                    if j not in allowed or j in paths:
-                        continue
-                    paths[j] = path + (j,)
-                    nxt.append(path + (j,))
-            for path in nxt:
-                if start in A.followers(path[-1]):
-                    if best is None or (len(path), path) < (len(best), best):
-                        best = path
-                    break
-            frontier = nxt
+        # Breadth-first order with ascending followers reaches every
+        # symbol along its lexicographically least shortest path, so the
+        # first symbol visited that closes up to start ends the least
+        # shortest cycle through start.  Only a shorter one can win.
+        parent, length = {start: None}, {start: 1}
+        order = [start]
+        for s in order:
+            if best is not None and length[s] >= len(best):
+                break
+            if start in A.follower_set(s):
+                cycle = []
+                while s is not None:
+                    cycle.append(s)
+                    s = parent[s]
+                best = tuple(reversed(cycle))
+                break
+            for j in A.followers(s):
+                if j in allowed and j not in parent:
+                    parent[j], length[j] = s, length[s] + 1
+                    order.append(j)
     return best
 
 

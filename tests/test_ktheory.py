@@ -141,9 +141,9 @@ def test_perron_matches_numpy(golden, full2, zero_diag3):
         assert abs(perron_value(A.entries) - oracle) < 1e-9
 
 
-def test_perron_periodic_fallback():
-    # irreducible but periodic: plain iteration oscillates, the shifted
-    # iteration still finds sqrt(2)
+def test_perron_periodic_spectral_radius():
+    # irreducible with period 2: the eigenvalues are +-sqrt(2), and the
+    # Perron value is their common modulus, the spectral radius
     assert abs(perron_value([[0, 2], [1, 0]]) - math.sqrt(2)) < 1e-8
 
 
@@ -156,6 +156,16 @@ def test_perron_rejects_reducible():
 def test_dimension_report_refuses_non_square_matrices(M):
     with pytest.raises(ValueError, match="square"):
         dimension_report(M, 3)
+
+
+def test_dimension_report_refuses_the_empty_matrix():
+    with pytest.raises(ValueError, match="^need a nonempty square matrix$"):
+        dimension_report([], 2)
+
+
+def test_dimension_report_refuses_negative_entries():
+    with pytest.raises(ValueError, match="^inclusion matrices are nonnegative$"):
+        dimension_report([[1, 0], [-1, 1]], 2)
 
 
 @pytest.mark.parametrize("bad", [2.7, 1.5, True, None])
