@@ -29,9 +29,7 @@ from .locfun import (
     psi_transfer,
 )
 from .groupoid import (
-    Bisection,
-    canonicalize,
-    membership_split,
+    _split_pair,
     generator_fixed,
     expectation_support,
     minimality_search,
@@ -73,7 +71,10 @@ def _object(pairs):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh, object_pairs_hook=_object)
+        try:
+            return json.load(fh, object_pairs_hook=_object)
+        except RecursionError:
+            raise ValueError("%s nests too deeply to parse" % path) from None
 
 
 def _load_matrix(path):
@@ -143,10 +144,14 @@ def _load_code(path):
         raise ValueError("code file must be a JSON object")
     kind = doc.get("kind", "sliding")
     if kind == "sliding":
+        if not {"source", "target", "window", "table"} <= doc.keys():
+            raise ValueError("sliding code file needs 'source', 'target', 'window' and 'table'")
         source = TransitionMatrix(doc["source"])
         target = TransitionMatrix(doc["target"])
         return BlockCode(source, target, doc["window"], _word_table(doc["table"], "code 'table'"))
     if kind == "full_group":
+        if not {"matrix", "rules"} <= doc.keys():
+            raise ValueError("full_group code file needs 'matrix' and 'rules'")
         matrix = TransitionMatrix(doc["matrix"])
         if not isinstance(doc["rules"], list):
             raise ValueError("code 'rules' must be a list of [src, dst] pairs")
@@ -276,14 +281,7 @@ def _split_args(args):
 
 
 def _cmd_split(args):
-    A, f, mu, nu = _split_args(args)
-    pieces = canonicalize(A, mu, nu)
-    inside, outside = [], []
-    for piece in pieces:
-        split = membership_split(A, f, piece)
-        inside.extend(z.as_dict() for z in split.inside)
-        outside.extend(z.as_dict() for z in split.outside)
-    _emit({"inside": inside, "outside": outside})
+    _emit(_split_pair(*_split_args(args)).as_dict())
     return 0
 
 
@@ -421,7 +419,7 @@ def main(argv=None):
     except (NotSaturatedError, NotCoboundaryError, TransferIdentityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return NEGATIVE_VERDICT
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return VALIDATION_ERROR
 

@@ -225,14 +225,16 @@ def _nonzero_cycle(block, labels, w):
 
 
 def _potential(A, g):
-    # (b, graph): the verified potential of g or None, and the block graph
-    # (block, labels, weights) when an edge refutes every potential, else None.
+    # (b, None) with b the verified potential of g, or (None, (block,
+    # labels, weights)) when an edge refutes every potential.
     block, labels, weights = _block_weights(A, g)
     beta = _forest_potential(block, weights)
     if beta is None:
         return None, (block, labels, weights)
-    b = LocFun._tabulate(A, g.depth, dict(zip(labels, beta)).__getitem__)
-    return (b if coboundary_transform(b) - 1 == g else None), None
+    b = LocFun._from_table(A, g.depth, dict(zip(labels, beta)))
+    if coboundary_transform(b) - 1 != g:
+        raise RuntimeError("potential self-check failed: b(sigma .) - b != g")
+    return b, None
 
 
 def solve_potential(A, g):
@@ -250,11 +252,13 @@ def solve_potential(A, g):
         If some cycle has a nonzero sum (the shortest such cycle, from
         :func:`shortest_nonzero_cycle`, is attached as the witness), or
         if no locally constant potential exists.
+    RuntimeError
+        If the recomposed coboundary differs from g (a solver fault).
     """
     b, graph = _potential(A, g)
     if b is not None:
         return b
-    found = None if graph is None else _nonzero_cycle(*graph)
+    found = _nonzero_cycle(*graph)
     if found is None:
         raise NotCoboundaryError("no locally constant potential exists")
     cyc, total = found

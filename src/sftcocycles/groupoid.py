@@ -216,6 +216,18 @@ def membership_split(A, f, z):
     return MembershipSplit(inside, outside)
 
 
+def _split_pair(A, f, mu, nu):
+    # The membership splits of the canonical pieces of (mu, nu), joined
+    # into one split of the pair.
+    _check_shift(A, f)
+    inside, outside = [], []
+    for piece in canonicalize(A, mu, nu):
+        split = membership_split(A, f, piece)
+        inside.extend(split.inside)
+        outside.extend(split.outside)
+    return MembershipSplit(inside, outside)
+
+
 def generator_fixed(A, f, mu, nu):
     """Whether S_mu S_nu* is fixed by the gauge action with potential f.
 
@@ -223,11 +235,7 @@ def generator_fixed(A, f, mu, nu):
     empty outside part.  A pair with no common follower is vacuously
     fixed (the product is the zero operator).
     """
-    _check_shift(A, f)
-    return all(
-        membership_split(A, f, piece).all_inside()
-        for piece in canonicalize(A, mu, nu)
-    )
+    return _split_pair(A, f, mu, nu).all_inside()
 
 
 def expectation_support(A, f, mu, nu):
@@ -237,12 +245,7 @@ def expectation_support(A, f, mu, nu):
     inside pieces over all canonical pieces); this is the support of the
     range projection of the averaged generator.
     """
-    _check_shift(A, f)
-    words = []
-    for piece in canonicalize(A, mu, nu):
-        split = membership_split(A, f, piece)
-        words.extend(p.mu for p in split.inside)
-    return sorted(words)
+    return sorted(p.mu for p in _split_pair(A, f, mu, nu).inside)
 
 
 class MinimalityWitness:
@@ -287,20 +290,25 @@ class MinimalityWitness:
 def minimality_search(A, f, z, mu, k_max=24, value_max=64):
     """Breadth-first search for a witness connecting U_mu to the orbit of z.
 
-    Explores candidate points x = p . sigma^l(z) over paths p extending
-    mu and splice positions l, exhaustively up to k <= k_max, l <= k_max
-    and partial cocycle sums bounded by value_max.  Returns the witness
+    Explores candidate points x = p . sigma^l(z) over paths p and splice
+    positions l, exhaustively up to k = |p| <= k_max, l <= k_max and
+    partial cocycle sums bounded by value_max.  Returns the witness
     least in the order (k, l, path), or None when the bounds are
     exhausted; None does not certify that no witness exists.  Both
     bounds must be nonnegative integers.
 
-    The frontier is deduplicated on (last symbols, partial sum) states,
-    which keeps the search polynomial while preserving the least
-    witness: whether a path can be completed depends only on its state.
-    A state's sum already covers the windows inside its path, so a
-    splice adds only the at most K - 1 windows that start in the suffix
-    and read into z, and each (suffix, l) pair is one dictionary lookup
-    of the state whose sum completes f^l(z).  The cost is
+    One frontier grows from the empty path, a level per k.  Below |mu| a
+    level is forced to the prefix mu[:k], and a splice at l needs z to
+    supply mu[k:] from position l on; from |mu| on any follower extends
+    a path, a splice needs an admissible junction, and only these free
+    extensions are pruned by value_max.  The frontier is deduplicated on
+    (last symbols, partial sum) states, which keeps the search
+    polynomial while preserving the least witness: whether a path can be
+    completed depends only on its state.  A state's sum already covers
+    the windows inside its path, so a splice adds only the at most K - 1
+    windows that start in the suffix and read into z, and each
+    (suffix, l) pair is one dictionary lookup of the state whose sum
+    completes f^l(z).  The cost is
     O(k_max * (states * n + k_max * suffixes * K)) table lookups, for at
     most `states` frontier states over `suffixes` distinct suffixes at
     any length, depth K and alphabet size n.  f and z must live on the
@@ -334,35 +342,21 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
             raise RuntimeError("minimality witness %r failed verification" % (witness,))
         return witness
 
-    # Forced phase: with k < |mu| the path must be a prefix of mu and the
-    # spliced tail must supply the rest of mu (which also makes the
-    # junction admissible).
-    for k in range(0, min(m, k_max + 1)):
-        p = mu[:k]
-        for l in range(k_max + 1):
-            if (
-                z_prefix[l : l + m - k] == mu[k:]
-                and abs(fz[l]) <= value_max
-                and splice_sum(p, l) == fz[l]
-            ):
-                return build(p, l)
-    if k_max < m:
-        return None
-
     suffix_len = max(1, K - 1)
-    base_sum = (
-        sum(table[mu[i : i + K]] for i in range(m - K + 1)) if m >= K else 0
-    )
-    frontier = {(mu[-suffix_len:], base_sum): mu}
-    for k in range(m, k_max + 1):
+    frontier = {((), 0): ()}
+    for k in range(k_max + 1):
+        forced, rest = k < m, mu[k:]
         suffixes = {suffix for suffix, _ in frontier}
         for l in range(k_max + 1):
             if abs(fz[l]) > value_max:
                 continue
+            # Below |mu| z must supply mu[k:], which makes the junction admissible.
+            if forced and z_prefix[l : l + m - k] != rest:
+                continue
             head = z_prefix[l]
             found = []
             for suffix in suffixes:
-                if head not in A.follower_set(suffix[-1]):
+                if not forced and head not in A.follower_set(suffix[-1]):
                     continue
                 # With K = 1 the suffix's own window is already in the sum.
                 boundary = splice_sum(suffix, l) if K > 1 else 0
@@ -378,10 +372,11 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
         # path to reach a state, the one kept, is its least.
         nxt = {}
         for (suffix, total), p in frontier.items():
-            for j in A.followers(suffix[-1]):
+            for j in (mu[k],) if forced else A.followers(suffix[-1]):
                 window = (suffix + (j,))[-K:]
                 new_total = total + (table[window] if k + 1 >= K else 0)
-                if abs(new_total) > budget:
+                # A forced prefix may exceed the budget and still close at |mu|.
+                if not forced and abs(new_total) > budget:
                     continue
                 state = ((suffix + (j,))[-suffix_len:], new_total)
                 if state not in nxt:

@@ -220,12 +220,14 @@ def perron_value(M):
     >>> round(perron_value([[0, 1, 0], [1, 0, 1], [0, 1, 1]]), 12)
     1.801937735805
     """
-    graph = _graph(M)
     if isinstance(M, TransitionMatrix):
-        M = M.entries
+        graph, rows = _graph(M), M.tolist()
+    else:
+        rows = _int_rows(M)
+        graph = _graph(rows)
     too_large = "matrix entries are too large for a float eigenvalue"
     try:
-        arr = np.asarray(M, dtype=float)
+        arr = np.array(rows, dtype=float)
     except OverflowError:
         raise ValueError(too_large) from None
     if (arr < 0).any():

@@ -200,3 +200,15 @@ def test_classifier_runs_no_witness_search(golden, full2, monkeypatch):
                 assert classify_potential(A, f).kind == "general"
     with pytest.raises(AssertionError, match="searched"):
         solve_potential(golden, LocFun(golden, 1, {(1,): 2, (2,): 5}))
+
+
+def test_potential_self_check_raises(golden, monkeypatch):
+    # A potential that fits every edge always recomposes to g; a broken
+    # recomposition is a fault of the solver, not a verdict on g.
+    g = coboundary_transform(LocFun(golden, 1, {(1,): 0, (2,): 3})) - 1
+    assert classify_potential(golden, g + 1).coboundary_b is not None
+    monkeypatch.setattr(coboundary, "coboundary_transform", lambda b: LocFun.constant(golden, 7))
+    with pytest.raises(RuntimeError, match="potential self-check failed"):
+        solve_potential(golden, g)
+    with pytest.raises(RuntimeError, match="potential self-check failed"):
+        classify_potential(golden, g + 1)

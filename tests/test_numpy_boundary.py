@@ -3,9 +3,9 @@
 The shift is held as follower tuples and every matrix from outside is
 read into rows of Python ints, so NumPy belongs only where it is used:
 the integer gate for NumPy input (``sft``), the walk-sum recursion
-(``coboundary``) and the Perron iteration (``ktheory``).  This test
-keeps a second matrix representation from creeping back into the
-other modules.
+(``coboundary``) and the spectral radius that is the Perron value
+(``ktheory``).  This test keeps a second matrix representation from
+creeping back into the other modules.
 """
 
 import ast

@@ -160,3 +160,45 @@ def test_minimal_unknown_verdict_exits_4(write, capsys):
     doc = json.loads(captured.out)
     assert doc["verdict"] == "unknown" and doc["certified"] is False
     assert doc["evidence"] == []
+
+
+def test_deeply_nested_json_is_validation_error(tmp_path, capsys):
+    # The decoder recurses once per bracket; past the interpreter's limit
+    # the file is refused like any other malformed JSON.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code = main(["validate", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s nests too deeply to parse\n" % path
+
+
+CODE_FILES = {
+    "sliding": {"source": GOLDEN, "target": GOLDEN, "window": 1, "table": {"1": 1, "2": 2}},
+    "full_group": {"kind": "full_group", "matrix": FULL2, "rules": [[[1], [2]], [[2], [1]]]},
+}
+NEEDS = {
+    "sliding": "sliding code file needs 'source', 'target', 'window' and 'table'",
+    "full_group": "full_group code file needs 'matrix' and 'rules'",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, missing",
+    [("sliding", key) for key in ("source", "target", "window", "table")]
+    + [("full_group", key) for key in ("matrix", "rules")],
+)
+def test_code_file_missing_a_key_names_the_keys(write, capsys, kind, missing):
+    doc = {key: value for key, value in CODE_FILES[kind].items() if key != missing}
+    code = main(
+        [
+            "psi-transfer",
+            "--code", write("code.json", doc),
+            "--fn", write("g.json", {"depth": 1, "values": {"1": 1, "2": -1}}),
+            "--k1", write("k1.json", {"depth": 1, "values": {"1": 0, "2": 0}}),
+            "--l1", write("l1.json", {"depth": 1, "values": {"1": 1, "2": 1}}),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % NEEDS[kind]
