@@ -4,18 +4,30 @@ Matrices are read through the package's integer gate and handled as
 Python integers, so pivots can grow without overflow, and the Smith
 normal form recomputes U.M.V = D after every run as a self-check.  The
 K-groups of the Cuntz-Krieger algebra of a transition matrix come out
-of the Smith form of I - A^T (cokernel and kernel); dimension vectors of
-a stationary inclusion matrix are iterated exactly, with a deliberately
-narrow UHF detection.  Two quantities are floats, both for reports
+of the Smith form of I - B^T (cokernel and kernel), where B is the
+small core the transition graph reduces to by two moves that keep both
+groups: amalgamating states with identical rows, and bypassing a
+loop-free state with one follower or one predecessor.  Dimension
+vectors of a stationary inclusion matrix are iterated exactly, one
+term per class of equal rows, with a deliberately narrow UHF
+detection.  Two quantities are floats, both for reports
 only: the Perron value, as the spectral radius, and the rounded growth
 ratios of :func:`dimension_report`.  Everything else is exact.
 """
 
+from collections import deque
 from operator import mul
 
 import numpy as np
 
-from .sft import TransitionMatrix, _graph, _integer, _int_rows, _strong_levels
+from .sft import (
+    TransitionMatrix,
+    _graph,
+    _integer,
+    _int_rows,
+    _rows_graph,
+    _strong_levels,
+)
 
 __all__ = [
     "smith_normal_form",
@@ -141,18 +153,91 @@ def smith_normal_form(M):
     return D, U, V
 
 
+def _core(succ):
+    """Reduce a weighted graph, in place, keeping coker and ker of I - A^T.
+
+    ``succ`` maps each vertex to a dict {follower: weight} of positive
+    Python ints; the reduced graph is returned.  Two moves repeat until
+    neither applies, amalgamation taking precedence:
+
+    - *amalgamate* a vertex whose weighted row equals another's: drop its
+      row and add its column into the other's.  With A = DE (D sends a
+      vertex to its class, E lists the distinct rows) this replaces A by
+      ED, an elementary strong shift equivalence (Williams 1973).
+    - *bypass* a loop-free vertex v with one follower or one predecessor:
+      add the weight of every path u -> v -> w to u -> w.  Its diagonal
+      entry of I - A^T is the unit 1, and this is the Schur complement
+      at it (Bowen-Franks 1977); the edge count does not grow.
+
+    The predecessor sets make each move touch only the removed vertex's
+    neighbours, and those are the only vertices looked at again.
+    """
+    pred = {v: set() for v in succ}
+    for u, row in succ.items():
+        for v in row:
+            pred[v].add(u)
+    rows_todo, bypass_todo = deque(succ), deque(succ)
+    rep = {}  # row -> a vertex that had it; checked before use, as rows change
+
+    def remove(v):
+        # Unlink v; its predecessors (itself excluded) are touched and
+        # so queued again, as are its followers, which lose a predecessor.
+        row, before = succ.pop(v), pred.pop(v)
+        before.discard(v)
+        for w in row:
+            if w != v:
+                pred[w].discard(v)
+        rows_todo.extend(before)
+        bypass_todo.extend(before)
+        bypass_todo.extend(row)
+        return row, before
+
+    while rows_todo or bypass_todo:
+        if rows_todo:
+            x = rows_todo.popleft()
+            if x not in succ:
+                continue
+            key = frozenset(succ[x].items())
+            y = rep.get(key)
+            if y is None or y == x or succ.get(y) != succ[x]:
+                rep[key] = x
+                continue
+            _, before = remove(x)
+            for p in before:
+                row = succ[p]
+                row[y] = row.get(y, 0) + row.pop(x)
+                pred[y].add(p)
+            continue
+        v = bypass_todo.popleft()
+        if v not in succ or v in succ[v] or (len(succ[v]) != 1 and len(pred[v]) != 1):
+            continue
+        after, before = remove(v)
+        for u in before:
+            row = succ[u]
+            a = row.pop(v)
+            for w, b in after.items():
+                row[w] = row.get(w, 0) + a * b
+                pred[w].add(u)
+    return succ
+
+
 def ck_k_groups(A):
     """K-groups of the Cuntz-Krieger algebra of a transition matrix.
 
     K0 is the cokernel of I - A^T acting on Z^n, reported as free rank
     plus the nontrivial torsion divisors; K1 is the kernel, which is
-    free of the same rank as the cokernel's free part.
+    free of the same rank as the cokernel's free part.  Both are read
+    from the Smith form of I - B^T, where B is the reduced core of the
+    transition graph (see :func:`_core`), since the reduction keeps
+    both groups.
     """
-    n = A.n
-    M = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(n):  # row i of A^T lists the predecessors of symbol i + 1
-        for j in A.predecessors(i + 1):
-            M[i][j - 1] -= 1
+    core = _core({s: dict.fromkeys(A.followers(s), 1) for s in range(1, A.n + 1)})
+    index = {v: i for i, v in enumerate(core)}
+    n = len(index)
+    M = _identity(n)
+    for u, row in core.items():  # B(u, v) sits at (v, u) of B^T
+        for v, w in row.items():
+            M[index[v]][index[u]] -= w
     D, _, _ = smith_normal_form(M)
     diag = [D[i][i] for i in range(n)]
     free_rank = sum(1 for d in diag if d == 0)
@@ -171,7 +256,9 @@ def dimension_report(M, levels):
     dimension proxy per level, the linear growth ratios, and a UHF
     detection that fires only when all rows of the matrix are identical
     (then the supernatural growth factor is the common row sum).
-    Anything subtler is left inconclusive on purpose.
+    Anything subtler is left inconclusive on purpose.  Equal rows are
+    grouped first, so a level is the sum over the classes of each
+    distinct row times the previous vector's total on its class.
     """
     rows = _int_rows(M)
     levels = _integer(levels, "levels", 1)
@@ -182,19 +269,24 @@ def dimension_report(M, levels):
         raise ValueError(
             "inclusion matrices are square, got %d x %d" % (size, len(rows[0]))
         )
-    if any(min(row) < 0 for row in rows):
+    classes = {}
+    for i, row in enumerate(rows):
+        classes.setdefault(tuple(row), []).append(i)
+    if any(min(row) < 0 for row in classes):
         raise ValueError("inclusion matrices are nonnegative")
-    cols = list(zip(*rows))
+    members = list(classes.values())
+    cols = list(zip(*classes))  # the columns of the distinct rows
     vectors = [[1] * size]
     for _ in range(levels - 1):
-        prev = vectors[-1]
-        vectors.append([sum(map(mul, col, prev)) for col in cols])
+        at = vectors[-1].__getitem__
+        weights = [sum(map(at, m)) for m in members]
+        vectors.append([sum(map(mul, col, weights)) for col in cols])
     totals = [sum(v) for v in vectors]
     ratios = [
         round(b / a, 12) for a, b in zip(totals, totals[1:]) if a
     ]
     uhf_factor = None
-    if all(row == rows[0] for row in rows[1:]):
+    if len(classes) == 1:
         uhf_factor = sum(rows[0])
     return {
         "vectors": vectors,
@@ -224,7 +316,7 @@ def perron_value(M):
         graph, rows = _graph(M), M.tolist()
     else:
         rows = _int_rows(M)
-        graph = _graph(rows)
+        graph = _rows_graph(rows)
     too_large = "matrix entries are too large for a float eigenvalue"
     try:
         arr = np.array(rows, dtype=float)

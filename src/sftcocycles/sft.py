@@ -52,18 +52,33 @@ def _integer(value, name, least=None):
     a bound) is refused as "<name> must be a nonnegative integer" or
     "<name> must be an integer >= <least>", also when it is below the
     floor; a value without one (an entry of a table) as "<name> is
-    <value>, not an integer".
+    <value>, not an integer".  The value is quoted by :func:`_excerpt`.
     """
     if type(value) is int and (least is None or value >= least):
         return value
     genuine = not isinstance(value, bool) and isinstance(value, (int, np.integer))
     if least is None:
         if not genuine:
-            raise ValueError("%s is %r, not an integer" % (name, value))
+            raise ValueError("%s is %s, not an integer" % (name, _excerpt(value)))
     elif not (genuine and value >= least):
         floor = "a nonnegative integer" if least == 0 else "an integer >= %d" % least
-        raise ValueError("%s must be %s, not %r" % (name, floor, value))
+        raise ValueError("%s must be %s, not %s" % (name, floor, _excerpt(value)))
     return int(value)
+
+
+_EXCERPT = 60
+
+
+def _excerpt(value):
+    """``repr(value)``, or its first ``_EXCERPT`` characters marked as cut.
+
+    A refusal quotes the value it refuses, which may come from a file of
+    any size; the excerpt keeps the message to one short line.
+    """
+    text = repr(value)
+    if len(text) <= _EXCERPT:
+        return text
+    return "%s... (%d characters, cut)" % (text[:_EXCERPT], len(text))
 
 
 def _integers(values, name):
@@ -114,7 +129,11 @@ def _graph(entries):
     """
     if isinstance(entries, TransitionMatrix):
         return entries.n, entries.followers, entries.predecessors
-    rows = _int_rows(entries)
+    return _rows_graph(_int_rows(entries))
+
+
+def _rows_graph(rows):
+    """:func:`_graph` of a matrix already read by :func:`_int_rows`."""
     n = len(rows)
     if n == 0 or len(rows[0]) != n:
         raise ValueError("need a nonempty square matrix")

@@ -5,7 +5,8 @@ read into rows of Python ints, so NumPy belongs only where it is used:
 the integer gate for NumPy input (``sft``), the walk-sum recursion
 (``coboundary``) and the spectral radius that is the Perron value
 (``ktheory``).  This test keeps a second matrix representation from
-creeping back into the other modules.
+creeping back into the other modules, and keeps the graph readers and
+the K-theory core reduction in Python ints.
 """
 
 import ast
@@ -37,10 +38,21 @@ def test_only_three_modules_import_numpy():
     assert "sft" in importers  # the scan does see an import
 
 
-def test_graph_reads_rows_without_numpy():
-    source = (Path(sftcocycles.__file__).parent / "sft.py").read_text()
-    graph = next(
+def function_uses_np(module, name):
+    source = (Path(sftcocycles.__file__).parent / module).read_text()
+    func = next(
         node for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef) and node.name == "_graph"
+        if isinstance(node, ast.FunctionDef) and node.name == name
     )
-    assert not any(isinstance(node, ast.Name) and node.id == "np" for node in ast.walk(graph))
+    return any(isinstance(node, ast.Name) and node.id == "np" for node in ast.walk(func))
+
+
+def test_graph_reads_rows_without_numpy():
+    assert not function_uses_np("sft.py", "_graph")
+    assert not function_uses_np("sft.py", "_rows_graph")
+
+
+def test_core_reduces_without_numpy():
+    # The reduction before the Smith form stays in exact Python integers.
+    assert not function_uses_np("ktheory.py", "_core")
+    assert function_uses_np("ktheory.py", "perron_value")  # the scan does see np

@@ -173,6 +173,22 @@ def test_deeply_nested_json_is_validation_error(tmp_path, capsys):
     assert captured.err == "error: %s nests too deeply to parse\n" % path
 
 
+@pytest.mark.parametrize(
+    "entry, start",
+    [("x" * 1_000_000, "'xxxx"), (json.loads("[" * 900 + "]" * 900), "[[[[")],
+    ids=["long-string", "nested-900"],
+)
+def test_a_huge_refused_entry_is_quoted_as_an_excerpt(tmp_path, capsys, entry, start):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"matrix": [[entry, 1], [1, 0]]}))
+    code = main(["validate", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert captured.err.startswith("error: matrix entry (1, 1) is " + start)
+    assert captured.err.endswith(" characters, cut), not an integer\n")
+
+
 CODE_FILES = {
     "sliding": {"source": GOLDEN, "target": GOLDEN, "window": 1, "table": {"1": 1, "2": 2}},
     "full_group": {"kind": "full_group", "matrix": FULL2, "rules": [[[1], [2]], [[2], [1]]]},
