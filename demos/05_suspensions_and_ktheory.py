@@ -44,7 +44,7 @@ for name, A in (
     ("full 2-shift", TransitionMatrix([[1, 1], [1, 1]])),
     ("full 3-shift", TransitionMatrix([[1, 1, 1]] * 3)),
 ):
-    print(name, "->", ck_k_groups(A), "perron %.9f" % perron_value(A.entries))
+    print(name, "->", ck_k_groups(A), "perron %.9f" % perron_value(A))
 
 print()
 print("== dimension data of a stationary inclusion ==")

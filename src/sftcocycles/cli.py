@@ -15,6 +15,7 @@ import sys
 from .sft import (
     TransitionMatrix,
     PointSpec,
+    _excerpt,
     enumerate_words,
     higher_block,
     has_cycle_within,
@@ -64,7 +65,7 @@ def _object(pairs):
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise ValueError("JSON object repeats the key %r" % key)
+            raise ValueError("JSON object repeats the key %s" % _excerpt(key))
         doc[key] = value
     return doc
 
@@ -94,7 +95,9 @@ def _parse_word(text):
         return ()
     parts = [part.strip() for part in text.split(",")]
     if not all(part.isascii() and part.isdigit() for part in parts):
-        raise ValueError("word %r must be comma-separated symbols such as '1,2'" % text)
+        raise ValueError(
+            "word %s must be comma-separated symbols such as '1,2'" % _excerpt(text)
+        )
     return tuple(map(int, parts))
 
 
@@ -107,7 +110,7 @@ def _int_flag(text):
     """
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        raise argparse.ArgumentTypeError("invalid int value: %s" % _excerpt(text))
     return int(text)
 
 
@@ -119,7 +122,9 @@ def _word_table(doc, what):
     for key, value in doc.items():
         word = _parse_word(key)
         if word in table:
-            raise ValueError("%s key %r repeats the word %r" % (what, key, word))
+            raise ValueError(
+                "%s key %s repeats the word %s" % (what, _excerpt(key), _excerpt(word))
+            )
         table[word] = value
     return table
 
@@ -156,7 +161,7 @@ def _load_code(path):
         if not isinstance(doc["rules"], list):
             raise ValueError("code 'rules' must be a list of [src, dst] pairs")
         return FullGroupElement(matrix, doc["rules"])
-    raise ValueError("unknown code kind %r" % kind)
+    raise ValueError("unknown code kind %s" % _excerpt(kind))
 
 
 def _build_parser():

@@ -16,8 +16,6 @@ coboundaries) with that verified potential and no witness search.
 decision relies on it.
 """
 
-import numpy as np
-
 from .sft import _integer, higher_block
 from .locfun import LocFun, _check_shift, coboundary_transform
 
@@ -138,6 +136,7 @@ def _return_sums(succ, w, targets, bound):
     at most ``4 * bound + 1`` in absolute value, fits, and Python
     integers otherwise.
     """
+    import numpy as np
     dtype = np.int64 if 4 * bound + 1 < 2**63 else object
     w = np.array(w, dtype=dtype)
 
@@ -193,6 +192,7 @@ def shortest_nonzero_cycle(A, g):
 
 def _nonzero_cycle(block, labels, w):
     # The walk-sum search of shortest_nonzero_cycle on a built block graph.
+    import numpy as np
     n = len(labels)
     follow = [[b - 1 for b in block.followers(a)] for a in range(1, n + 1)]
     width = max(map(len, follow))

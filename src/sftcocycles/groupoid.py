@@ -20,6 +20,7 @@ from itertools import chain, islice
 
 from .sft import (
     PointSpec,
+    _excerpt,
     _integer,
     enumerate_words,
     has_cycle_within,
@@ -62,7 +63,7 @@ class Bisection:
             raise ValueError("bisection words must be nonempty")
         if mu[-1] != nu[-1]:
             raise ValueError(
-                "bisection (%r, %r) is not end-matched" % (mu, nu)
+                "bisection (%s, %s) is not end-matched" % (_excerpt(mu), _excerpt(nu))
             )
         self.mu = mu
         self.nu = nu

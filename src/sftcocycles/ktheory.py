@@ -18,8 +18,6 @@ ratios of :func:`dimension_report`.  Everything else is exact.
 from collections import deque
 from operator import mul
 
-import numpy as np
-
 from .sft import (
     TransitionMatrix,
     _graph,
@@ -312,6 +310,7 @@ def perron_value(M):
     >>> round(perron_value([[0, 1, 0], [1, 0, 1], [0, 1, 1]]), 12)
     1.801937735805
     """
+    import numpy as np
     if isinstance(M, TransitionMatrix):
         graph, rows = _graph(M), M.tolist()
     else:

@@ -14,7 +14,7 @@ equal iff their normalized tables coincide.  Everything here is pure
 and immutable.
 """
 
-from .sft import TransitionMatrix, _integer, _integers, enumerate_words
+from .sft import TransitionMatrix, _excerpt, _integer, _integers, enumerate_words
 
 __all__ = [
     "LocFun",
@@ -73,7 +73,7 @@ class LocFun:
             raise ValueError("matrix must be a TransitionMatrix")
         depth = _integer(depth, "depth", 1)
         words, values = _table_values(matrix, depth, table, "table")
-        values = _integers(values, lambda i: "value on the word %r" % (words[i],))
+        values = _integers(values, lambda i: "value on the word %s" % _excerpt(words[i]))
         depth, cleaned = _normalize(depth, dict(zip(words, values)))
         self.matrix = matrix
         self.depth = depth
@@ -232,7 +232,9 @@ def _table_values(A, m, table, name):
         raise ValueError("%s is missing the admissible word %r" % (name, word)) from None
     if len(table) != len(words):
         extra = set(table) - set(words)
-        raise ValueError("%s has entries for inadmissible words: %r" % (name, sorted(extra)))
+        raise ValueError(
+            "%s has entries for inadmissible words: %s" % (name, _excerpt(sorted(extra)))
+        )
     return words, values
 
 
@@ -310,7 +312,9 @@ class BlockCode:
     def __init__(self, source, target, window, table):
         window = _integer(window, "window", 1)
         words, values = _table_values(source, window, table, "code table")
-        values = _integers(values, lambda i: "code value on the source word %r" % (words[i],))
+        values = _integers(
+            values, lambda i: "code value on the source word %s" % _excerpt(words[i])
+        )
         for s in values:
             if not 1 <= s <= target.n:
                 raise ValueError("code emits out-of-range symbol %d" % s)
@@ -322,7 +326,7 @@ class BlockCode:
             a, b = self.table[w[:window]], self.table[w[1:]]
             if b not in target.follower_set(a):
                 raise ValueError(
-                    "code image of %r is not admissible in the target" % (w,)
+                    "code image of %s is not admissible in the target" % _excerpt(w)
                 )
 
     def input_length(self, m):
@@ -360,13 +364,16 @@ class FullGroupElement:
             try:
                 src, dst = (tuple(word) for word in rule)
             except (TypeError, ValueError):
-                raise ValueError("rule %r is not a (src, dst) pair of words" % (rule,)) from None
+                raise ValueError(
+                    "rule %s is not a (src, dst) pair of words" % _excerpt(rule)
+                ) from None
             src, dst = matrix.check_word(src), matrix.check_word(dst)
             if not src or not dst:
                 raise ValueError("rule words must be nonempty")
             if matrix.followers(src[-1]) != matrix.followers(dst[-1]):
                 raise ValueError(
-                    "rule %r -> %r does not preserve the follower set" % (src, dst)
+                    "rule %s -> %s does not preserve the follower set"
+                    % (_excerpt(src), _excerpt(dst))
                 )
             cleaned.append((src, dst))
         if not cleaned:
@@ -381,7 +388,7 @@ class FullGroupElement:
         for src, dst in self.rules:
             if tuple(word[: len(src)]) == src:
                 return src, dst
-        raise ValueError("word %r too short to select a rule" % (tuple(word),))
+        raise ValueError("word %s too short to select a rule" % _excerpt(tuple(word)))
 
     def input_length(self, m):
         return self.max_src + m
@@ -437,7 +444,8 @@ def _check_partition(matrix, words, role):
     for a, b in zip(words, words[1:]):
         if b[: len(a)] == a:
             raise ValueError(
-                "%s cylinders overlap: %r is a prefix of %r" % (role, a, b)
+                "%s cylinders overlap: %s is a prefix of %s"
+                % (role, _excerpt(a), _excerpt(b))
             )
     # Walk the words' proper prefixes in lexicographic order.  The first
     # child that is neither a word nor a proper prefix, extended by least
@@ -455,7 +463,7 @@ def _check_partition(matrix, words, role):
             continue
         while len(w) < depth:
             w += (matrix.followers(w[-1])[0],)
-        raise ValueError("%s cylinders do not cover the word %r" % (role, w))
+        raise ValueError("%s cylinders do not cover the word %s" % (role, _excerpt(w)))
 
 
 def _tail_form(h, word, drop):

@@ -12,8 +12,8 @@ these.
 The matrix is kept as its transition graph: for every symbol, the
 ascending tuple of its followers and of its predecessors.  The flags
 are breadth-first searches over that graph, admissibility is a lookup
-in per-symbol follower sets, and a dense array exists only when a
-caller asks for ``entries``.
+in per-symbol follower sets; ``entries`` builds a dense NumPy array on
+each read and stores none, so importing the package loads no NumPy.
 
 Symbols are 1-based integers and words are plain tuples of symbols, so
 alphabets with more than nine letters need no special casing.  All
@@ -24,8 +24,7 @@ concurrent use needs no coordination.
 from functools import cached_property
 from itertools import compress
 from math import gcd
-
-import numpy as np
+from numbers import Integral
 
 __all__ = [
     "TransitionMatrix",
@@ -46,8 +45,8 @@ def _integer(value, name, least=None):
 
     This is the package's one integer gate: every count, bound, matrix
     entry, table value and ceiling passes through it, so no value is
-    silently coerced.  A genuine integer is a Python ``int`` other than
-    ``bool``, or a NumPy integer; anything else is refused with a
+    silently coerced.  A genuine integer is any ``numbers.Integral`` but
+    ``bool``, NumPy integers included; anything else is refused with a
     ``ValueError`` naming it.  A value with a floor `least` (a count or
     a bound) is refused as "<name> must be a nonnegative integer" or
     "<name> must be an integer >= <least>", also when it is below the
@@ -56,7 +55,7 @@ def _integer(value, name, least=None):
     """
     if type(value) is int and (least is None or value >= least):
         return value
-    genuine = not isinstance(value, bool) and isinstance(value, (int, np.integer))
+    genuine = not isinstance(value, bool) and isinstance(value, Integral)
     if least is None:
         if not genuine:
             raise ValueError("%s is %s, not an integer" % (name, _excerpt(value)))
@@ -73,9 +72,17 @@ def _excerpt(value):
     """``repr(value)``, or its first ``_EXCERPT`` characters marked as cut.
 
     A refusal quotes the value it refuses, which may come from a file of
-    any size; the excerpt keeps the message to one short line.
+    any size; the excerpt keeps the message to one short line.  Python
+    refuses to print an int of more than 4,300 digits, also inside a
+    tuple or list; such a value is quoted by its size instead.
     """
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "a negative" if value < 0 else "an"
+            return "<%s integer of %d bits>" % (sign, value.bit_length())
+        return "<a %s holding an integer too long to print>" % type(value).__name__
     if len(text) <= _EXCERPT:
         return text
     return "%s... (%d characters, cut)" % (text[:_EXCERPT], len(text))
@@ -100,9 +107,9 @@ def _int_rows(M):
     Entries pass the integer gate, so a float, string or null entry is
     refused, naming its row and column, instead of being coerced.
     """
-    if isinstance(M, np.ndarray):
-        if M.dtype.kind not in "iuO":
-            raise ValueError("matrix entries must be integers, not %s" % M.dtype)
+    if hasattr(M, "dtype"):
+        if getattr(M.dtype, "kind", None) not in ("i", "u", "O"):
+            raise ValueError("matrix entries must be integers, not %s" % (M.dtype,))
         M = M.tolist()
     try:
         rows = [list(row) for row in M]
@@ -267,8 +274,8 @@ class TransitionMatrix:
                 a >= b for a, b in zip(fol, fol[1:])
             ):
                 raise ValueError(
-                    "followers of symbol %d must be ascending symbols in 1..%d, got %r"
-                    % (i, n, fol)
+                    "followers of symbol %d must be ascending symbols in 1..%d, got %s"
+                    % (i, n, _excerpt(fol))
                 )
             for j in fol:
                 predecessors[j - 1].append(i)
@@ -290,12 +297,14 @@ class TransitionMatrix:
         self._predecessors = predecessors
         self._follower_sets = tuple(map(frozenset, followers))
 
-    @cached_property
+    @property
     def entries(self):
-        """The dense 0/1 matrix as a read-only int64 array, built on first use."""
-        arr = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, fol in enumerate(self._followers):
-            arr[i, [j - 1 for j in fol]] = 1
+        """The dense 0/1 matrix as a new read-only int64 array, never stored.
+
+        Its one reader left is ``kgroups.random`` in ``perfbench/workloads.py``.
+        """
+        import numpy as np
+        arr = np.array(self.tolist(), dtype=np.int64)
         arr.setflags(write=False)
         return arr
 
@@ -349,7 +358,7 @@ class TransitionMatrix:
     def check_word(self, word):
         word = tuple(word)
         if not self.is_admissible(word):
-            raise ValueError("word %r is not admissible for this matrix" % (word,))
+            raise ValueError("word %s is not admissible for this matrix" % _excerpt(word))
         return word
 
     def check_symbols(self, symbols):
@@ -357,7 +366,7 @@ class TransitionMatrix:
         symbols = tuple(symbols)  # checked before a set could merge True into 1
         for s in symbols:
             if not (type(s) is int and 1 <= s <= self.n):
-                raise ValueError("symbol %r out of range" % (s,))
+                raise ValueError("symbol %s out of range" % _excerpt(s))
         return frozenset(symbols)
 
     def same_matrix(self, other):
@@ -499,7 +508,7 @@ class PointSpec:
             raise ValueError("period must be nonempty")
         head = self.period[0]
         if head not in matrix.follower_set(self.period[-1]):
-            raise ValueError("period %r does not close up" % (self.period,))
+            raise ValueError("period %s does not close up" % _excerpt(self.period))
         if self.preperiod and head not in matrix.follower_set(self.preperiod[-1]):
             raise ValueError("preperiod does not connect to period")
 

@@ -481,6 +481,29 @@ def test_import_does_not_load_networkx():
     assert result.returncode == 0, result.stderr
 
 
+def test_commands_without_a_dense_kernel_do_not_load_numpy(files, tmp_path):
+    # NumPy is imported only where it computes: the Perron value and the
+    # coboundary witness search.  b(sigma .) - b for b = chi_1 is a coboundary.
+    cob = tmp_path / "chi1_cob.json"
+    cob.write_text(json.dumps({"depth": 2, "values": {"1,1": 0, "1,2": -1, "2,1": 1, "2,2": 0}}))
+    argvs = [
+        ["validate", "--matrix", files["gm.json"]],
+        ["words", "--matrix", files["gm.json"], "--m", "3"],
+        ["split", "--matrix", files["full2.json"], "--fn", files["chi1.json"], "--mu", "1", "--nu", "2"],
+        ["coboundary", "check", "--matrix", files["full2.json"], "--fn", str(cob)],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import sftcocycles, sftcocycles.cli\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert sftcocycles.cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n" % (argvs,)
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

@@ -1,14 +1,15 @@
 """No module of the package reads the dense ``entries`` array.
 
-``TransitionMatrix.entries`` builds an n x n int64 array on first use
-and keeps it cached on the matrix: 68.7 MB for a 3,000-state tower.  It
-stays public for callers that want an array, but the package itself
-reads the follower tuples or ``tolist()``, so no call of its own leaves
-that array behind.
+``TransitionMatrix.entries`` builds a new n x n int64 array on every
+read and never stores it: the follower tuples are the one graph a
+matrix keeps.  It stays public for callers that want an array, but the
+package itself reads the follower tuples or ``tolist()``.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 import sftcocycles
 from sftcocycles import TransitionMatrix, perron_value
@@ -30,4 +31,13 @@ def test_no_module_reads_entries():
 def test_perron_value_leaves_no_array_cached():
     A = TransitionMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert abs(perron_value(A) - 2.0) < 1e-9
+    assert "entries" not in vars(A)
+
+
+def test_entries_is_a_new_read_only_array_never_stored():
+    A = TransitionMatrix([[1, 1], [1, 0]])
+    arr = A.entries
+    assert np.array_equal(arr, np.array(A.tolist())) and arr.dtype == np.int64
+    assert not arr.flags.writeable
+    assert A.entries is not arr
     assert "entries" not in vars(A)

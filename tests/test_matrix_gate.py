@@ -10,12 +10,14 @@ its positive entries as the edges.  The NumPy body of
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sftcocycles import (
     InclusionMatrix,
+    LocFun,
     TransitionMatrix,
     dimension_report,
     inclusion_matrix,
@@ -26,7 +28,7 @@ from sftcocycles import (
     sigma_family,
     smith_normal_form,
 )
-from sftcocycles.sft import _int_rows
+from sftcocycles.sft import _int_rows, _integer
 
 FLAGS_AND_PERRON = [is_primitive, is_irreducible, perron_value]
 
@@ -65,6 +67,31 @@ def test_integer_arrays_read_as_python_ints():
     with pytest.raises(ValueError, match=r"entry \(2, 2\) is None"):
         _int_rows(obj)
     assert _int_rows(np.array([[1, 2], [0, 3]], dtype=object)) == [[1, 2], [0, 3]]
+
+
+GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
+READERS = {
+    "bound": lambda v: _integer(v, "k_max", 0),
+    "locfun-value": lambda v: LocFun(GOLDEN, 1, {(1,): v, (2,): 0}).table[(1,)],
+    "matrix-cell": lambda v: _int_rows(np.array([[v, 1], [1, 0]], dtype=object))[0][0],
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+def test_numpy_scalars_are_read_as_numbers_integral(read):
+    # NumPy registers its integers as numbers.Integral, and not its bool_.
+    for value in (np.int64(1), np.uint64(2**63)):
+        out = read(value)
+        assert out == int(value) and type(out) is int
+    for bad in (np.bool_(True), np.float64(1.0)):
+        with pytest.raises(ValueError, match="integer"):
+            read(bad)
+
+
+def test_an_array_is_known_by_its_dtype_kind():
+    odd = SimpleNamespace(dtype="int64", tolist=lambda: [[1]])
+    with pytest.raises(ValueError, match="^matrix entries must be integers, not int64$"):
+        _int_rows(odd)
 
 
 def test_perron_value_reads_once_and_refuses_cleanly(golden):

@@ -5,6 +5,7 @@ its documented exit code (2 for invalid input, 4 for an unknown
 verdict) and by what it writes to stdout and stderr.
 """
 
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -22,6 +23,7 @@ from sftcocycles import (
     suspended_matrix,
 )
 from sftcocycles.cli import main
+from sftcocycles.sft import _integer
 
 GOLDEN = [[1, 1], [1, 0]]
 FULL2 = [[1, 1], [1, 1]]
@@ -187,6 +189,95 @@ def test_a_huge_refused_entry_is_quoted_as_an_excerpt(tmp_path, capsys, entry, s
     assert len(captured.err.encode()) < 1024
     assert captured.err.startswith("error: matrix entry (1, 1) is " + start)
     assert captured.err.endswith(" characters, cut), not an integer\n")
+
+
+LONG_KEY = ",".join(["1"] * 25_000)
+WORDS_12 = dict.fromkeys(map(",".join, itertools.product("12", repeat=12)), 0)
+HUGE_INPUTS = {
+    # Every word over {1, 2} of length 12: 3,719 of the 4,096 keys are
+    # inadmissible over the golden mean shift.
+    "inadmissible-keys": (
+        lambda write: [
+            "coboundary", "check",
+            "--matrix", write("gm.json", {"matrix": GOLDEN}),
+            "--fn", write("fn.json", {"depth": 12, "values": WORDS_12}),
+        ],
+        "error: table has entries for inadmissible words: [(1, 1, 1,",
+    ),
+    "code-kind": (
+        lambda write: transfer_args(write, {"kind": "k" * 100_000, "matrix": GOLDEN}),
+        "error: unknown code kind 'kkkk",
+    ),
+    "rule-word": (
+        lambda write: transfer_args(
+            write, {"kind": "full_group", "matrix": GOLDEN, "rules": [[[2] * 50_000, [1]]]}
+        ),
+        "error: word (2, 2, 2,",
+    ),
+    "rule-pair": (
+        lambda write: transfer_args(
+            write, {"kind": "full_group", "matrix": FULL2, "rules": [[1] * 50_000]}
+        ),
+        "error: rule [1, 1, 1,",
+    ),
+    "repeated-word": (
+        lambda write: [
+            "coboundary", "check",
+            "--matrix", write("full2.json", {"matrix": FULL2}),
+            "--fn", write("fn.json", {"depth": 1, "values": {LONG_KEY: 0, LONG_KEY + " ": 0}}),
+        ],
+        "error: function 'values' key '1,1,1,",
+    ),
+    "word-syntax": (
+        lambda write: [
+            "coboundary", "check",
+            "--matrix", write("full2.json", {"matrix": FULL2}),
+            "--fn", write("fn.json", {"depth": 1, "values": {"x" * 100_000: 0}}),
+        ],
+        "error: word 'xxxx",
+    ),
+}
+
+
+def transfer_args(write, code):
+    return [
+        "psi-transfer",
+        "--code", write("code.json", code),
+        "--fn", write("g.json", {"depth": 1, "values": {"1": 1, "2": -1}}),
+        "--k1", write("k1.json", {"depth": 1, "values": {"1": 0, "2": 0}}),
+        "--l1", write("l1.json", {"depth": 1, "values": {"1": 1, "2": 1}}),
+    ]
+
+
+@pytest.mark.parametrize("argv, start", HUGE_INPUTS.values(), ids=HUGE_INPUTS)
+def test_a_huge_refused_input_is_quoted_as_an_excerpt(write, capsys, argv, start):
+    code = main(argv(write))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert captured.err.startswith(start)
+    assert " characters, cut)" in captured.err
+
+
+def test_a_repeated_huge_json_key_is_quoted_as_an_excerpt(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    key = json.dumps("k" * 100_000)
+    path.write_text('{"matrix": %s, %s: 1, %s: 2}' % (GOLDEN, key, key))
+    code = main(["validate", "--matrix", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert captured.err.startswith("error: JSON object repeats the key 'kkkk")
+
+
+def test_an_integer_too_long_to_print_is_quoted_by_its_size():
+    # Python refuses str() of an int past 4,300 digits; the refusal still
+    # names the parameter.
+    message = "^k_max must be a nonnegative integer, not <a negative integer of 16610 bits>$"
+    with pytest.raises(ValueError, match=message):
+        _integer(-(10**5000), "k_max", 0)
+    with pytest.raises(ValueError, match="^word <a tuple holding an integer too long to print> is"):
+        TransitionMatrix(GOLDEN).check_word((10**5000,))
 
 
 CODE_FILES = {

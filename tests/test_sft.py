@@ -213,7 +213,11 @@ GATED_IDS = ["%s-%d" % (name, i + (i >= 6)) for i, (name, _) in enumerate(GATED)
 
 
 @pytest.mark.parametrize("name, call", GATED, ids=GATED_IDS)
-@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, True, "1", np.bool_(True), np.float64(1.0)],
+    ids=["float", "bool", "str", "np-bool", "np-float64"],
+)
 def test_gated_parameter_refuses_a_non_integer(name, call, bad):
     with pytest.raises(ValueError, match="^%s must be (a nonnegative|an) integer" % name):
         call(bad)
