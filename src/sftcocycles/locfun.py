@@ -14,7 +14,7 @@ equal iff their normalized tables coincide.  Everything here is pure
 and immutable.
 """
 
-from .sft import TransitionMatrix, _excerpt, _integer, _integers, enumerate_words
+from .sft import TransitionMatrix, _excerpt, _integer, _integers, _list_words, enumerate_words
 
 __all__ = [
     "LocFun",
@@ -119,6 +119,7 @@ class LocFun:
 
     def eval_point(self, point, offset=0):
         """Value of the function at sigma^offset of an eventually periodic point."""
+        _check_shift(self.matrix, self, point)
         return self.value_on(point.window(offset, self.depth))
 
     def shifted(self):
@@ -219,12 +220,7 @@ def _table_values(A, m, table, name):
     """
     if not any(isinstance(w, tuple) and len(w) == m for w in table):
         raise ValueError("%s is missing every admissible word of length %d" % (name, m))
-    cap = len(table) + 1
-    words = [(s,) for s in range(1, A.n + 1)]
-    del words[cap:]
-    for _ in range(m - 1):
-        words = [w + (j,) for w in words for j in A.followers(w[-1])]
-        del words[cap:]
+    words = _list_words(A, range(1, A.n + 1), m, len(table) + 1)
     try:
         values = [table[w] for w in words]
     except KeyError as missing:
@@ -232,9 +228,11 @@ def _table_values(A, m, table, name):
         raise ValueError("%s is missing the admissible word %r" % (name, word)) from None
     if len(table) != len(words):
         extra = set(table) - set(words)
-        raise ValueError(
-            "%s has entries for inadmissible words: %s" % (name, _excerpt(sorted(extra)))
-        )
+        try:
+            extra = sorted(extra)
+        except TypeError:  # keys of mixed types have no common order
+            extra = sorted(extra, key=repr)
+        raise ValueError("%s has entries for inadmissible words: %s" % (name, _excerpt(extra)))
     return words, values
 
 
@@ -401,6 +399,7 @@ class FullGroupElement:
         return out[:m]
 
     def apply_point(self, point):
+        _check_shift(self.matrix, self, point)
         pre = point.window(0, self.max_src)
         src, dst = self.rule_for(pre)
         shifted = point.shift(len(src))
@@ -552,6 +551,8 @@ def psi_transfer(g, h, k1, l1):
     >>> psi_transfer(one, tau, k1, l1) == coboundary_transform(tau.cocycle_function())
     True
     """
+    if not isinstance(h, (BlockCode, FullGroupElement)):
+        raise TypeError("h must be a BlockCode or a FullGroupElement")
     A = h.source
     if not g.matrix.same_matrix(h.target):
         raise ValueError("g must live on the target shift of h")
@@ -563,11 +564,9 @@ def psi_transfer(g, h, k1, l1):
     if isinstance(h, FullGroupElement):
         _verify_full_group_identity(h, k1, l1)
         return _full_group_transfer(g, h)
-    if isinstance(h, BlockCode):
-        _verify_block_code_identity(h, k1, l1)
-        depth = h.input_length(g.depth)
-        return LocFun._tabulate(A, depth, lambda w: g.table[h.apply(w)])
-    raise TypeError("h must be a BlockCode or a FullGroupElement")
+    _verify_block_code_identity(h, k1, l1)
+    depth = h.input_length(g.depth)
+    return LocFun._tabulate(A, depth, lambda w: g.table[h.apply(w)])
 
 
 def _full_group_transfer(g, h):

@@ -15,6 +15,12 @@ are breadth-first searches over that graph, admissibility is a lookup
 in per-symbol follower sets; ``entries`` builds a dense NumPy array on
 each read and stores none, so importing the package loads no NumPy.
 
+Each derived view of the shift comes from one routine: the predecessor
+tuples from the follower tuples (``TransitionMatrix._set_graph``), the
+admissible words of one length, level by level (``_list_words``, behind
+``enumerate_words`` and the table check of ``locfun``), and a point's
+canonical form, in one pass over its preperiod (``PointSpec.canonical``).
+
 Symbols are 1-based integers and words are plain tuples of symbols, so
 alphabets with more than nine letters need no special casing.  All
 values are immutable after construction and all functions are pure, so
@@ -25,6 +31,7 @@ from functools import cached_property
 from itertools import compress
 from math import gcd
 from numbers import Integral
+from sys import maxsize
 
 __all__ = [
     "TransitionMatrix",
@@ -253,10 +260,7 @@ class TransitionMatrix:
         if not all(set(row) <= {0, 1} for row in rows):
             raise ValueError("transition matrix entries must all be 0 or 1")
         symbols = range(1, n + 1)
-        self._set_graph(
-            tuple(tuple(compress(symbols, row)) for row in rows),
-            tuple(tuple(compress(symbols, col)) for col in zip(*rows)),
-        )
+        self._set_graph(tuple(tuple(compress(symbols, row)) for row in rows))
 
     @classmethod
     def from_followers(cls, followers):
@@ -268,7 +272,6 @@ class TransitionMatrix:
         """
         followers = tuple(tuple(fol) for fol in followers)
         n = len(followers)
-        predecessors = [[] for _ in range(n)]
         for i, fol in enumerate(followers, 1):
             if not all(type(j) is int and 1 <= j <= n for j in fol) or any(
                 a >= b for a, b in zip(fol, fol[1:])
@@ -277,16 +280,18 @@ class TransitionMatrix:
                     "followers of symbol %d must be ascending symbols in 1..%d, got %s"
                     % (i, n, _excerpt(fol))
                 )
-            for j in fol:
-                predecessors[j - 1].append(i)
         self = cls.__new__(cls)
-        self._set_graph(followers, tuple(map(tuple, predecessors)))
+        self._set_graph(followers)
         return self
 
-    def _set_graph(self, followers, predecessors):
+    def _set_graph(self, followers):
         n = len(followers)
         if n < 2:
             raise ValueError("alphabet must have at least two symbols")
+        predecessors = [[] for _ in range(n)]
+        for i, fol in enumerate(followers, 1):
+            for j in fol:
+                predecessors[j - 1].append(i)
         for i in range(n):
             if not followers[i]:
                 raise ValueError("row %d is zero: symbol %d has no follower" % (i + 1, i + 1))
@@ -294,7 +299,7 @@ class TransitionMatrix:
                 raise ValueError("column %d is zero: symbol %d has no predecessor" % (i + 1, i + 1))
         self.n = n
         self._followers = followers
-        self._predecessors = predecessors
+        self._predecessors = tuple(map(tuple, predecessors))
         self._follower_sets = tuple(map(frozenset, followers))
 
     @property
@@ -410,10 +415,16 @@ def enumerate_words(A, m, after=None):
         A.check_symbols((after,))
     if m == 0:
         return [()]
-    first = range(1, A.n + 1) if after is None else A.followers(after)
+    return _list_words(A, range(1, A.n + 1) if after is None else A.followers(after), m)
+
+
+def _list_words(A, first, m, cap=maxsize):
+    """The first `cap` (by default all) admissible m-words from `first`, m >= 1."""
     words = [(i,) for i in first]
+    del words[cap:]
     for _ in range(m - 1):
         words = [w + (j,) for w in words for j in A.followers(w[-1])]
+        del words[cap:]
     return words
 
 
@@ -540,11 +551,10 @@ class PointSpec:
 
     def canonical(self):
         per = _primitive_root(self.period)
-        pre = self.preperiod
-        while pre and pre[-1] == per[-1]:
-            per = (per[-1],) + per[:-1]
-            pre = pre[:-1]
-        return pre, per
+        pre, p, k = self.preperiod, len(per), 0
+        while k < len(pre) and pre[-1 - k] == per[-1 - k % p]:
+            k += 1  # absorbed, and the period rotated one step to the right
+        return pre[: len(pre) - k], per[-k % p :] + per[: -k % p]
 
     def __eq__(self, other):
         if not isinstance(other, PointSpec):

@@ -94,6 +94,20 @@ def test_classify_unit_coboundary(full2):
     assert cls.coboundary_b == b.base_normalized()
 
 
+def test_classify_reports_a_degenerate_overlap_on_a_reducible_matrix():
+    # Symbol 1 lies on no cycle, so chi_{2,3} - 1 = -chi_{1} sums to 0 on
+    # every cycle: the indicator is also a unit coboundary.
+    from sftcocycles import TransitionMatrix
+
+    A = TransitionMatrix([[0, 1, 0], [0, 1, 0], [1, 0, 1]])
+    f = make_chi_H(A, {2, 3})
+    cls = classify_potential(A, f)
+    assert cls.kind == "chi_H" and cls.kinds == ("chi_H", "coboundary_1b")
+    assert cls.constant is None and cls.chi_H == frozenset({2, 3})
+    assert coboundary_transform(cls.coboundary_b) == f
+    assert cls.note == "degenerate overlap of potential shapes: chi_H, coboundary_1b"
+
+
 def test_classify_general_and_constant(golden):
     cls = classify_potential(golden, LocFun.constant(golden, 3))
     assert cls.kind == "constant" and cls.kinds == ("constant",)

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from sftcocycles import (
+    BlockCode,
     FullGroupElement,
     LocFun,
     MinimalityWitness,
@@ -70,10 +71,24 @@ def test_psi_transfer_refuses_functions_on_another_shift(golden, full2, wrong, m
 
 
 def test_psi_transfer_refuses_an_h_of_neither_code_type(full2):
-    h = SimpleNamespace(source=full2, target=full2)
     zero = LocFun.constant(full2, 0)
-    with pytest.raises(TypeError, match="^h must be a BlockCode or a FullGroupElement$"):
-        psi_transfer(LocFun.constant(full2, 1), h, zero, zero)
+    # The type is checked before any attribute of h is read.
+    for h in (SimpleNamespace(source=full2, target=full2), full2, None):
+        with pytest.raises(TypeError, match="^h must be a BlockCode or a FullGroupElement$"):
+            psi_transfer(LocFun.constant(full2, 1), h, zero, zero)
+
+
+@pytest.mark.parametrize(
+    "build", [LocFun, lambda A, m, table: BlockCode(A, A, m, table)], ids=["LocFun", "BlockCode"]
+)
+def test_extra_keys_of_mixed_types_are_refused_as_inadmissible(golden, build):
+    table = {(1,): 1, (2,): 1, "x": 1, (3,): 2}
+    message = "^(code )?table has entries for inadmissible words: \\['x', \\(3,\\)\\]$"
+    with pytest.raises(ValueError, match=message):
+        build(golden, 1, table)
+    # Tuples whose symbols do not compare are refused the same way.
+    with pytest.raises(ValueError, match="inadmissible words: \\[\\('a',\\), \\(3,\\)\\]$"):
+        build(golden, 1, {(1,): 1, (2,): 1, ("a",): 1, (3,): 2})
 
 
 @pytest.mark.parametrize("rule", [((), (1,)), ((1,), ())])

@@ -3,13 +3,17 @@
 A function on the golden mean shift read on the full 2-shift (or the
 other way round) would be looked up on words it has no value for, or
 answered on loops its own shift forbids; each entry point refuses it
-with a ``ValueError`` before building a block graph.
+with a ``ValueError`` before building a block graph.  Likewise a
+function evaluated at, or a full-group element applied to, a point of
+another shift refuses the point.
 """
 
 import pytest
 
 from sftcocycles import (
+    FullGroupElement,
     LocFun,
+    PointSpec,
     TransitionMatrix,
     classify_potential,
     cycle_sums,
@@ -66,3 +70,16 @@ def test_loops_the_home_shift_forbids_are_not_reported(golden, full2):
         shortest_nonzero_cycle(full2, deep)
     with pytest.raises(ValueError, match="f must live on the shift A"):
         reduce_to_first_coordinate(full2, deep)
+
+
+def test_point_from_another_shift_is_refused(golden, full2):
+    forbidden = PointSpec(full2, (2, 2), (2,))  # 2 2 is not a golden mean word
+    with pytest.raises(ValueError, match="^z must be a point of the shift A$"):
+        LocFun(golden, 1, {(1,): 5, (2,): 7}).eval_point(forbidden)
+    identity = FullGroupElement(golden, [((1,), (1,)), ((2,), (2,))])
+    with pytest.raises(ValueError, match="^z must be a point of the shift A$"):
+        identity.apply_point(PointSpec(full2, (), (2,)))
+    # A point of an equal matrix is a point of the same shift.
+    same = PointSpec(TransitionMatrix(golden.tolist()), (2,), (1,))
+    assert LocFun(golden, 1, {(1,): 5, (2,): 7}).eval_point(same) == 7
+    assert identity.apply_point(same) == same
