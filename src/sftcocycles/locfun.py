@@ -89,8 +89,8 @@ class LocFun:
 
     @classmethod
     def _from_table(cls, matrix, depth, table):
-        # A table the package built over the admissible depth-words,
-        # normalized but not checked.
+        # A table the package built over the admissible depth-words in
+        # lexicographic order (as _normalize needs), normalized unchecked.
         self = cls.__new__(cls)
         self.matrix = matrix
         self.depth, self.table = _normalize(depth, table)
@@ -237,20 +237,19 @@ def _table_values(A, m, table, name):
 
 
 def _normalize(depth, table):
-    # Drop the last coordinate while every (depth-1)-cylinder is constant.
-    while depth > 1:
-        reduced = {}
-        ok = True
-        for w, v in table.items():
-            p = w[:-1]
-            if p in reduced and reduced[p] != v:
-                ok = False
-                break
-            reduced[p] = v
-        if not ok:
-            break
-        depth, table = depth - 1, reduced
-    return depth, table
+    # In lexicographic order each cylinder is a run of neighbours, so the
+    # function reads one symbol past the longest prefix that two
+    # neighbouring words with different values share.
+    need, prev, before = 1, (), None
+    for w, v in table.items():
+        if v != before and w[:need] == prev[:need]:
+            need += 1
+            while w[need - 1] == prev[need - 1]:
+                need += 1
+            if need == depth:
+                return depth, table
+        prev, before = w, v
+    return need, (table if need == depth else {w[:need]: v for w, v in table.items()})
 
 
 def make_chi_H(A, H):
@@ -308,6 +307,9 @@ class BlockCode:
     """
 
     def __init__(self, source, target, window, table):
+        for matrix, name in ((source, "source"), (target, "target")):
+            if not isinstance(matrix, TransitionMatrix):
+                raise ValueError("%s must be a TransitionMatrix" % name)
         window = _integer(window, "window", 1)
         words, values = _table_values(source, window, table, "code table")
         values = _integers(
@@ -354,6 +356,12 @@ class FullGroupElement:
     """
 
     def __init__(self, matrix, rules):
+        if not isinstance(matrix, TransitionMatrix):
+            raise ValueError("matrix must be a TransitionMatrix")
+        try:
+            rules = iter(rules)
+        except TypeError:
+            raise ValueError("rules must be an iterable, not %s" % _excerpt(rules)) from None
         self.matrix = matrix
         self.source = matrix
         self.target = matrix
@@ -405,13 +413,17 @@ class FullGroupElement:
         shifted = point.shift(len(src))
         return shifted.prepend(dst)
 
+    def _runs(self, depth):
+        # Each admissible depth-word (depth >= max_src) with its rule, in
+        # lexicographic order: each sorted source's cylinder is one run.
+        for src, dst in self.rules:
+            for tail in enumerate_words(self.matrix, depth - len(src), after=src[-1]):
+                yield src + tail, src, dst
+
     def cocycle_function(self):
         """The cocycle d = |src| - |dst|: sigma^|dst|(tau x) = sigma^|src|(x)."""
-        def d(w):
-            src, dst = self.rule_for(w)
-            return len(src) - len(dst)
-
-        return LocFun._tabulate(self.matrix, self.max_src, d)
+        table = {w: len(src) - len(dst) for w, src, dst in self._runs(self.max_src)}
+        return LocFun._from_table(self.matrix, self.max_src, table)
 
     def coe_pair(self):
         """Minimal (k1, l1) with sigma^k1(tau(sigma x)) = sigma^l1(tau x).
@@ -422,8 +434,7 @@ class FullGroupElement:
         """
         depth = 1 + self.max_src
         k_table, l_table = {}, {}
-        for w in enumerate_words(self.matrix, depth):
-            src, dst = self.rule_for(w)
+        for w, src, dst in self._runs(depth):
             src2, dst2 = self.rule_for(w[1:])
             delta = 1 + len(src2) - len(src)
             if delta >= 0:
@@ -446,32 +457,32 @@ def _check_partition(matrix, words, role):
                 "%s cylinders overlap: %s is a prefix of %s"
                 % (role, _excerpt(a), _excerpt(b))
             )
-    # Walk the words' proper prefixes in lexicographic order.  The first
-    # child that is neither a word nor a proper prefix, extended by least
-    # followers (every symbol has one), is the least uncovered word.
-    depth = max(len(w) for w in words)
-    sources, prefixes = set(words), {w[:i] for w in words for i in range(len(w))}
-    stack = [()]
-    while stack:
-        w = stack.pop()
-        if w in sources:
-            continue
-        if w in prefixes:
-            nexts = matrix.followers(w[-1]) if w else range(1, matrix.n + 1)
-            stack.extend(w + (j,) for j in reversed(nexts))
-            continue
-        while len(w) < depth:
-            w += (matrix.followers(w[-1])[0],)
-        raise ValueError("%s cylinders do not cover the word %s" % (role, _excerpt(w)))
+    # Sorted, the cylinders tile the shift in turn: each word is the gap
+    # (the least uncovered word) extended by least followers, and the next
+    # gap is the next sibling of its deepest symbol that has one.
+    follow, gap = matrix.followers, (1,)
+    for w in words:
+        k = len(gap)
+        if w[:k] != gap or any(b != follow(a)[0] for a, b in zip(w[k - 1 :], w[k:])):
+            break
+        for j in range(len(w) - 1, -1, -1):
+            siblings = follow(w[j - 1]) if j else range(1, matrix.n + 1)
+            if w[j] != siblings[-1]:
+                gap = w[:j] + (siblings[siblings.index(w[j]) + 1],)
+                break
+        else:
+            return
+    gap, depth = list(gap), max(len(w) for w in words)
+    while len(gap) < depth:
+        gap.append(follow(gap[-1])[0])
+    raise ValueError("%s cylinders do not cover the word %s" % (role, _excerpt(tuple(gap))))
 
 
 def _tail_form(h, word, drop):
     # sigma^drop of the image of a point starting with `word`, written as
     # (explicit symbols, offset into the point's own tail).
     src, dst = h.rule_for(word)
-    if drop <= len(dst):
-        return dst[drop:], len(src)
-    return (), len(src) + (drop - len(dst))
+    return dst[drop:], len(src) + max(0, drop - len(dst))
 
 
 def _verify_full_group_identity(h, k1, l1):
@@ -485,20 +496,20 @@ def _verify_full_group_identity(h, k1, l1):
     # length (plus one on the left), so for m > 0 the longer stream's
     # offset t + m is at most 1 + max_src <= depth: the compared symbols
     # lie in the cylinder, and no longer word can change its verdict.
-    A = h.matrix
+    # The cylinders come lazily, so a refusal lists no word past its own.
     depth = max(k1.depth, l1.depth, 1 + h.max_src)
-    for cyl in enumerate_words(A, depth):
+    for cyl, src, dst in h._runs(depth):
         kv, lv = k1.value_on(cyl), l1.value_on(cyl)
         left_word, left_off = _tail_form(h, cyl[1:], kv)
         left_off += 1
-        right_word, right_off = _tail_form(h, cyl, lv)
+        right_word, right_off = dst[lv:], len(src) + max(0, lv - len(dst))
         m = max(len(left_word), len(right_word))
         if left_off - len(left_word) != right_off - len(right_word) or (
             (left_word + cyl[left_off : left_off + m])[:m]
             != (right_word + cyl[right_off : right_off + m])[:m]
         ):
             raise TransferIdentityError(
-                "orbit-equivalence identity fails on the cylinder %r" % (cyl,),
+                "orbit-equivalence identity fails on the cylinder %s" % _excerpt(cyl),
                 witness=cyl,
             )
 
@@ -510,8 +521,8 @@ def _verify_block_code_identity(h, k1, l1):
     for w in enumerate_words(h.source, depth):
         if l1.value_on(w) != k1.value_on(w) + 1:
             raise TransferIdentityError(
-                "orbit-equivalence identity fails on the cylinder %r "
-                "(a sliding code needs l1 = k1 + 1)" % (w,),
+                "orbit-equivalence identity fails on the cylinder %s "
+                "(a sliding code needs l1 = k1 + 1)" % _excerpt(w),
                 witness=w,
             )
 
@@ -578,7 +589,6 @@ def _full_group_transfer(g, h):
         return sum(g.table[word[i : i + K]] for i in range(n))
 
     G = {}
-    for w in enumerate_words(A, h.max_src + K - 1):
-        src, dst = h.rule_for(w)
+    for w, src, dst in h._runs(h.max_src + K - 1):
         G[w] = ergodic_sum(dst + w[len(src) :], len(dst)) - ergodic_sum(w, len(src))
     return LocFun._tabulate(A, h.max_src + K, lambda w: g.table[w[:K]] + G[w[:-1]] - G[w[1:]])

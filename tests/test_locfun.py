@@ -379,11 +379,22 @@ def test_coboundary_transform_lists_its_words_once(full2, monkeypatch):
 
 
 def test_coe_pair_lists_its_words_once(full2, monkeypatch):
+    # One listing of tails per rule, in rule order: together they hold
+    # each admissible (1 + max_src)-word exactly once, in order.
     tau = example_full_group_element(full2)
-    listings = count_calls(monkeypatch, "enumerate_words")
+    words = enumerate_words(full2, 1 + tau.max_src)
+    tails = []
+    inner = locfun.enumerate_words
+
+    def listing(*args, **kwargs):
+        tails.append(inner(*args, **kwargs))
+        return tails[-1]
+
+    monkeypatch.setattr(locfun, "enumerate_words", listing)
     gated = count_calls(monkeypatch, "_table_values")
     tau.coe_pair()
-    assert [args[1:] for args in listings] == [(1 + tau.max_src,)]
+    assert len(tails) == len(tau.rules)
+    assert [src + t for (src, _), run in zip(tau.rules, tails) for t in run] == words
     assert gated == []
 
 

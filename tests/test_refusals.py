@@ -7,6 +7,7 @@ verdict) and by what it writes to stdout and stderr.
 
 import itertools
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -17,14 +18,16 @@ from sftcocycles import (
     LocFun,
     MinimalityWitness,
     PointSpec,
+    TransferIdentityError,
     TransitionMatrix,
     decode_return_times,
+    enumerate_words,
     minimality_search,
     psi_transfer,
     suspended_matrix,
 )
 from sftcocycles.cli import main
-from sftcocycles.sft import _integer
+from sftcocycles.sft import _excerpt, _integer
 
 GOLDEN = [[1, 1], [1, 0]]
 FULL2 = [[1, 1], [1, 1]]
@@ -43,6 +46,25 @@ def full2():
 def test_locfun_needs_a_transition_matrix():
     with pytest.raises(ValueError, match="^matrix must be a TransitionMatrix$"):
         LocFun(GOLDEN, 1, {(1,): 0, (2,): 0})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda A: FullGroupElement(FULL2, [((1,), (1,)), ((2,), (2,))]), "matrix"),
+        (lambda A: BlockCode(GOLDEN, A, 1, {(1,): 1, (2,): 2}), "source"),
+        (lambda A: BlockCode(A, GOLDEN, 1, {(1,): 1, (2,): 2}), "target"),
+    ],
+    ids=["FullGroupElement", "BlockCode-source", "BlockCode-target"],
+)
+def test_codes_need_transition_matrices(golden, build, message):
+    with pytest.raises(ValueError, match="^%s must be a TransitionMatrix$" % message):
+        build(golden)
+
+
+def test_full_group_rules_must_be_iterable(full2):
+    with pytest.raises(ValueError, match="^rules must be an iterable, not 5$"):
+        FullGroupElement(full2, 5)
 
 
 def test_sum_across_two_shifts_is_refused(golden, full2):
@@ -89,6 +111,41 @@ def test_extra_keys_of_mixed_types_are_refused_as_inadmissible(golden, build):
     # Tuples whose symbols do not compare are refused the same way.
     with pytest.raises(ValueError, match="inadmissible words: \\[\\('a',\\), \\(3,\\)\\]$"):
         build(golden, 1, {(1,): 1, (2,): 1, ("a",): 1, (3,): 2})
+
+
+def comb(L):
+    """The full-group element fixing the cylinders of 1^i 2 (i < L) and 1^L."""
+    return [((1,) * i + (2,),) * 2 for i in range(L)] + [((1,) * L,) * 2]
+
+
+def test_comb_refusal_stops_at_its_first_cylinder(full2):
+    # The identity asks sigma x = x on every cylinder; the check lists the
+    # words of the first rule only, not the 2^401 words of its depth.
+    tau = FullGroupElement(full2, comb(400))
+    zero = LocFun.constant(full2, 0)
+    start = time.perf_counter()
+    with pytest.raises(TransferIdentityError) as refused:
+        psi_transfer(zero, tau, zero, zero)
+    assert time.perf_counter() - start < 0.1
+    assert refused.value.witness == (1,) * 401
+    cut = "orbit-equivalence identity fails on the cylinder %s" % _excerpt((1,) * 401)
+    assert str(refused.value) == cut and cut.endswith(" (1203 characters, cut)")
+
+
+def test_sliding_code_refusal_quotes_its_cylinder_cut():
+    # On this shift a word of 1s and 2s may end by entering the loop at 3;
+    # k1 reads whether the 100th symbol is 3, so every cylinder is 100 long.
+    A = TransitionMatrix([[0, 1, 1], [1, 0, 1], [0, 0, 1]])
+    k1 = LocFun(A, 100, {w: int(w[-1] == 3) for w in enumerate_words(A, 100)})
+    h = BlockCode(A, A, 1, {(1,): 1, (2,): 2, (3,): 3})
+    with pytest.raises(TransferIdentityError) as refused:
+        psi_transfer(LocFun.constant(A, 1), h, k1, k1)
+    least = (1, 2) * 50
+    assert refused.value.witness == least
+    assert str(refused.value) == (
+        "orbit-equivalence identity fails on the cylinder %s "
+        "(a sliding code needs l1 = k1 + 1)" % _excerpt(least)
+    )
 
 
 @pytest.mark.parametrize("rule", [((), (1,)), ((1,), ())])
@@ -293,6 +350,23 @@ def test_an_integer_too_long_to_print_is_quoted_by_its_size():
         _integer(-(10**5000), "k_max", 0)
     with pytest.raises(ValueError, match="^word <a tuple holding an integer too long to print> is"):
         TransitionMatrix(GOLDEN).check_word((10**5000,))
+
+
+def test_comb_file_refusal_is_one_short_line(write, capsys):
+    # A 5 KB code file whose cylinders are 41 symbols deep: the refusal
+    # comes from the first cylinder, and quotes it cut.
+    rules = [[list(src), list(dst)] for src, dst in comb(40)]
+    code_file = write("comb.json", {"kind": "full_group", "matrix": FULL2, "rules": rules})
+    zero = write("zero.json", {"depth": 1, "values": {"1": 0, "2": 0}})
+    start = time.perf_counter()
+    code = main(["psi-transfer", "--code", code_file, "--fn", zero, "--k1", zero, "--l1", zero])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and elapsed < 1.0
+    assert captured.err == "error: orbit-equivalence identity fails on the cylinder %s\n" % (
+        _excerpt((1,) * 41)
+    )
+    assert captured.err.endswith("... (123 characters, cut)\n")
 
 
 CODE_FILES = {
