@@ -4,16 +4,17 @@ An integer function g on the shift is a coboundary, g = b(sigma .) - b
 for some locally constant b, exactly when its sums over all periodic
 orbits vanish; for a depth-K function the periodic orbits are the
 directed cycles of the K-block graph.  Each call builds that graph once
-and never lists its cycles.  A potential propagated over a spanning
-forest either fits every edge, and then every cycle sum is zero, or it
-does not, and then a min/max walk-sum recursion over lengths 1, 2, ...
-on the same graph finds the shortest cycle with a nonzero sum, the
-certified witness.  The solver verifies every edge and the recomposed
-coboundary, so its answer is certified too.  The classifier finds the
-three special shapes (positive constants, symbol-set indicators, unit
-coboundaries) with that verified potential and no witness search.
-:func:`cycle_sums` is a small capped report of every simple cycle; no
-decision relies on it.
+and never lists its cycles.  A potential propagated once over a spanning
+forest gives each edge a defect, and a cycle's sum is the sum of its
+defects.  Either every defect is 0, and so is every cycle sum, or
+min/max defect sums of the walks from the heads of nonzero defects, in
+Python integers on the same graph, find the shortest cycle with a
+nonzero sum, the certified witness.  The solver verifies every edge and
+the recomposed coboundary, so its answer is certified too.  The
+classifier finds the three special shapes (positive constants,
+symbol-set indicators, unit coboundaries) with that verified potential
+and no witness search.  :func:`cycle_sums` is a small capped report of
+every simple cycle; no decision relies on it.
 """
 
 from .sft import _integer, higher_block
@@ -90,12 +91,14 @@ def cycle_sums(A, g, cycle_cap=10**6):
 
 
 def _forest_potential(block, weights):
-    """A potential with beta(v) - beta(u) = g(u) on every edge u -> v, or None.
+    """A potential over a spanning forest, and the heads of its misfits.
 
-    The potential, listed like the weights, is propagated from the least
-    vertex of each weak component over a spanning tree (edges taken
-    undirected, so reducible matrices are covered too); None means some
-    edge contradicts it.
+    beta, listed like the weights, is propagated from the least vertex of
+    each weak component over a spanning tree (edges taken undirected, so
+    reducible matrices are covered too).  An edge u -> v has the defect
+    beta(u) + g(u) - beta(v), 0 on tree edges; a cycle's g-sum is the sum
+    of its defects.  ``heads`` lists, ascending, the positions of the
+    vertices that an edge of nonzero defect enters; none means beta fits.
     """
     beta = [None] * len(weights)
     for root in range(1, len(weights) + 1):  # one spanning tree per weak component
@@ -113,46 +116,34 @@ def _forest_potential(block, weights):
                 if beta[u - 1] is None:
                     beta[u - 1] = beta[a - 1] - weights[u - 1]
                     stack.append(u)
-    for a in range(1, len(weights) + 1):
-        for v in block.followers(a):
-            if beta[v - 1] - beta[a - 1] != weights[a - 1]:
-                return None
-    return beta
+    heads = [
+        v - 1 for v in range(1, len(weights) + 1)
+        if any(beta[u - 1] + weights[u - 1] != beta[v - 1] for u in block.predecessors(v))
+    ]
+    return beta, heads
 
 
-def _return_sums(succ, w, targets, bound):
-    """Min and max g-sums of the walks that end at each target, by length.
+def _walks(start, steps, length):
+    """Least and greatest defect sums of the walks from start, by level.
 
-    Yields, for the lengths 1, 2, ..., a pair of arrays whose entry
-    (i, v) is the least and the greatest sum of ``w`` over the vertices
-    of a walk of that length from v to ``targets[i]``, the final vertex
-    not counted.  Row v of ``succ`` lists the successors of v, padded to
-    a common width by repeating one of them.  ``bound`` is the number of
-    vertices V times the largest ``abs(w)``, so it bounds the sum of
-    every walk of length at most V.  A missing walk starts at
-    ``2 * bound + 1`` and moves by at most ``max(abs(w))`` per step, so
-    up to length V an entry beyond ``bound`` means no walk of that
-    length exists.  The arithmetic is exact: int64 while every value,
-    at most ``4 * bound + 1`` in absolute value, fits, and Python
-    integers otherwise.
+    ``steps[u]`` lists ``(v, d)`` for each step from u to v with defect d
+    (out-edges walk forward, in-edges backward).  Yields the levels 0, 1,
+    ..., ``length``: level i maps each vertex to the least and greatest
+    sum of d over the walks of i steps to it; a missing vertex has none.
     """
-    import numpy as np
-    dtype = np.int64 if 4 * bound + 1 < 2**63 else object
-    w = np.array(w, dtype=dtype)
-
-    def step(sums, pick):
-        out = sums.take(succ[:, 0], axis=1)
-        for col in succ[:, 1:].T:
-            pick(out, sums.take(col, axis=1), out=out)
-        out += w
-        return out
-
-    lo = np.full((len(targets), len(w)), 2 * bound + 1, dtype=dtype)
-    lo[np.arange(len(targets)), targets] = 0
-    hi = -lo
-    while True:
-        lo, hi = step(lo, np.minimum), step(hi, np.maximum)
-        yield lo, hi
+    level = {start: (0, 0)}
+    yield level
+    for _ in range(length):
+        out = {}
+        for u, (lo, hi) in level.items():
+            for v, d in steps[u]:
+                seen = out.get(v)
+                if seen is None:
+                    out[v] = (lo + d, hi + d)
+                elif lo + d < seen[0] or hi + d > seen[1]:
+                    out[v] = (min(seen[0], lo + d), max(seen[1], hi + d))
+        level = out
+        yield level
 
 
 def shortest_nonzero_cycle(A, g):
@@ -164,16 +155,16 @@ def shortest_nonzero_cycle(A, g):
     periodic orbit.  Ties are broken as in :func:`cycle_sums`: the
     witness is its first entry with a nonzero sum.
 
-    A shortest closed walk with nonzero sum is a simple cycle: at a
-    repeated vertex it would split into two shorter closed walks, one
-    of them with nonzero sum.  So the min and max sums of the closed
-    walks through each vertex, for the lengths L = 1, 2, ..., fix the
-    witness length L and its least vertex s at the first (L, s) where
-    they are not both 0, and the least cycle through s is then chosen
-    edge by edge, keeping a nonzero completion reachable.  This takes
-    O(V * L * E) exact integer steps on V vertices and E edges, and
-    O(V * V) memory.  A potential that fits every edge answers None in
-    linear time first.
+    Every cycle with a nonzero sum enters a head of a nonzero defect of
+    the forest potential; no heads answers None in linear time.  A
+    shortest closed walk with nonzero sum is a simple cycle, since at a
+    repeated vertex it splits into two shorter closed walks, one of them
+    with nonzero sum.  So min/max defect sums of the walks from each head,
+    forward to the first length L with a nonzero closed walk and then L
+    steps back, fix the witness length L and its least vertex s; the
+    least cycle through s is then chosen edge by edge, keeping a nonzero
+    completion reachable.  This takes O(H * L * E) integer steps for H
+    heads and E edges, and O(L * V) memory on V vertices.
 
     Examples
     --------
@@ -185,52 +176,59 @@ def shortest_nonzero_cycle(A, g):
     True
     """
     block, labels, weights = _block_weights(A, g)
-    if _forest_potential(block, weights) is not None:
-        return None
-    return _nonzero_cycle(block, labels, weights)
+    return _nonzero_cycle(block, labels, weights, *_forest_potential(block, weights))
 
 
-def _nonzero_cycle(block, labels, w):
-    # The walk-sum search of shortest_nonzero_cycle on a built block graph.
-    import numpy as np
+def _nonzero_cycle(block, labels, w, beta, heads):
+    # The defect walk of shortest_nonzero_cycle on a built block graph.
     n = len(labels)
-    follow = [[b - 1 for b in block.followers(a)] for a in range(1, n + 1)]
-    width = max(map(len, follow))
-    succ = np.array([vs + vs[:1] * (width - len(vs)) for vs in follow])
-    bound = n * max(map(abs, w))
-    for length, (lo, hi) in zip(range(1, n + 1), _return_sums(succ, w, np.arange(n), bound)):
-        closed_lo, closed_hi = lo.diagonal(), hi.diagonal()
-        hits = np.flatnonzero((closed_lo <= bound) & ((closed_lo != 0) | (closed_hi != 0)))
-        if hits.size:
-            s = int(hits[0])
-            break
-    else:
-        # Every simple cycle sums to 0; only edges outside all cycles
-        # contradict the potential (a reducible matrix).
+    follow = [
+        [(v - 1, beta[u] + w[u] - beta[v - 1]) for v in block.followers(u + 1)] for u in range(n)
+    ]
+    precede = [[] for _ in range(n)]
+    for u, steps in enumerate(follow):
+        for v, d in steps:
+            precede[v].append((u, d))
+    best = None
+    for b in heads:
+        walks = _walks(b, follow, best[0] if best else n)
+        length = next((i for i, level in enumerate(walks) if level.get(b, (0, 0)) != (0, 0)), None)
+        if length is None:
+            continue
+        # The least v on a closed walk b -> v -> b of this length with a
+        # nonzero sum: all are 0 only when both ranges are one value that cancels.
+        back = list(_walks(b, precede, length))
+        s = min(
+            v for i, level in enumerate(_walks(b, follow, length)) for v, (lo, hi) in level.items()
+            if v in back[length - i] and not (lo == hi and back[length - i][v] == (-lo, -lo))
+        )
+        best = min(best or (length, s), (length, s))
+    if best is None:
+        # Every cycle sums to 0.  A reducible graph can still misfit the
+        # potential: a tree that enters a strongly connected component
+        # through several edges can contradict edges inside it.
         return None
-    sums = _return_sums(succ, w, [s], bound)
-    tails = [next(sums) for _ in range(length - 1)]
-    cycle, total = [s], w[s]
-    for lo, hi in reversed(tails):
+    del back  # the last hit's levels, before those of the walk from s
+    length, s = best
+    cycle, total = [s], 0
+    for back in reversed(list(_walks(s, precede, length - 1))[1:]):
         # The least successor from which some walk of the remaining
         # length closes the cycle at s with a nonzero total.
-        lo, hi = lo[0], hi[0]
-        v = next(
-            v for v in follow[cycle[-1]]
-            if lo[v] <= bound and not lo[v] == hi[v] == -total
+        v, d = next(
+            (v, d) for v, d in follow[cycle[-1]]
+            if v in back and back[v] != (-total - d, -total - d)
         )
         cycle.append(v)
-        total += w[v]
-    return tuple(labels[v] for v in cycle), total
+        total += d
+    return tuple(labels[v] for v in cycle), sum(w[v] for v in cycle)
 
 
 def _potential(A, g):
-    # (b, None) with b the verified potential of g, or (None, (block,
-    # labels, weights)) when an edge refutes every potential.
+    # (b, None) with b the verified potential of g, or (None, _nonzero_cycle's arguments).
     block, labels, weights = _block_weights(A, g)
-    beta = _forest_potential(block, weights)
-    if beta is None:
-        return None, (block, labels, weights)
+    beta, heads = _forest_potential(block, weights)
+    if heads:
+        return None, (block, labels, weights, beta, heads)
     b = LocFun._from_table(A, g.depth, dict(zip(labels, beta)))
     if coboundary_transform(b) - 1 != g:
         raise RuntimeError("potential self-check failed: b(sigma .) - b != g")

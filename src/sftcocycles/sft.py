@@ -280,6 +280,11 @@ class TransitionMatrix:
                     "followers of symbol %d must be ascending symbols in 1..%d, got %s"
                     % (i, n, _excerpt(fol))
                 )
+        return cls._from_graph(followers)
+
+    @classmethod
+    def _from_graph(cls, followers):
+        # Follower tuples the package built ascending and in range, unchecked.
         self = cls.__new__(cls)
         self._set_graph(followers)
         return self
@@ -449,7 +454,7 @@ def higher_block(A, K):
         first.setdefault(w[:-1], i)
         last[w[:-1]] = i
     runs = {prefix: tuple(range(i, last[prefix] + 1)) for prefix, i in first.items()}
-    return TransitionMatrix.from_followers(runs[w[1:]] for w in words), tuple(words)
+    return TransitionMatrix._from_graph(tuple(runs[w[1:]] for w in words)), tuple(words)
 
 
 def has_cycle_within(A, symbols):

@@ -60,7 +60,7 @@ class SuspendedMatrix:
         self.ceilings = ceilings
         self.labels = tuple(labels)
         self.index = index
-        self.matrix = TransitionMatrix.from_followers(followers)
+        self.matrix = TransitionMatrix._from_graph(tuple(followers))
 
     @property
     def size(self):

@@ -483,7 +483,7 @@ def test_import_does_not_load_networkx():
 
 def test_commands_without_a_dense_kernel_do_not_load_numpy(files, tmp_path):
     # NumPy is imported only where it computes: the Perron value and the
-    # coboundary witness search.  b(sigma .) - b for b = chi_1 is a coboundary.
+    # dense entries view.  b(sigma .) - b for b = chi_1 is a coboundary.
     cob = tmp_path / "chi1_cob.json"
     cob.write_text(json.dumps({"depth": 2, "values": {"1,1": 0, "1,2": -1, "2,1": 1, "2,2": 0}}))
     argvs = [
@@ -498,6 +498,25 @@ def test_commands_without_a_dense_kernel_do_not_load_numpy(files, tmp_path):
         "for argv in %r:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert sftcocycles.cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n" % (argvs,)
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_coboundary_refusals_do_not_load_numpy(files):
+    # The witness search walks defect sums in Python integers: chi_1 on the
+    # full 2-shift sums to 1 on the loop at 1.
+    argvs = [
+        ["coboundary", mode, "--matrix", files["full2.json"], "--fn", files["chi1.json"]]
+        for mode in ("check", "solve")
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import sftcocycles.cli\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert sftcocycles.cli.main(argv) == 3, argv\n"
         "assert 'numpy' not in sys.modules\n" % (argvs,)
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -204,7 +204,7 @@ def test_classifier_runs_no_witness_search(golden, full2, monkeypatch):
     def refuse(*args):
         raise AssertionError("the classifier searched a witness cycle")
 
-    monkeypatch.setattr(coboundary, "_return_sums", refuse)
+    monkeypatch.setattr(coboundary, "_walks", refuse)
     rng = random.Random(41)
     for A in (golden, full2):
         for _ in range(10):

@@ -169,6 +169,22 @@ def test_from_followers_validates():
             TransitionMatrix.from_followers(bad)
 
 
+def test_derived_graphs_equal_their_dense_matrices(monkeypatch):
+    # higher_block and SuspendedMatrix build follower tuples ascending and
+    # in range, so they skip the check that from_followers gives outside input.
+    from test_kgroups_oracle import recodings, towers
+
+    def refuse(followers):
+        raise AssertionError("a derived graph was checked as outside input")
+
+    monkeypatch.setattr(TransitionMatrix, "from_followers", refuse)
+    for block in towers() + recodings():
+        dense = TransitionMatrix(block.tolist())
+        assert (block.n, block._followers, block._predecessors, block._follower_sets) == (
+            dense.n, dense._followers, dense._predecessors, dense._follower_sets
+        )
+
+
 def test_entries_array_is_read_only(golden):
     with pytest.raises(ValueError):
         golden.entries[0, 0] = 0

@@ -2,11 +2,10 @@
 
 The shift is held as follower tuples and every matrix from outside is
 read into rows of Python ints, so no module imports NumPy at load time.
-Three places compute with it and import it where they run: the dense
-``TransitionMatrix.entries`` view, the spectral radius that is the
-Perron value (``ktheory.perron_value``), and the walk-sum recursion of
-the coboundary witness search (``coboundary._return_sums`` and
-``coboundary._nonzero_cycle``).  This test keeps a second matrix
+Two places compute with it and import it where they run: the dense
+``TransitionMatrix.entries`` view and the spectral radius that is the
+Perron value (``ktheory.perron_value``).  The coboundary witness search
+walks its defect sums in Python integers.  This test keeps a second matrix
 representation from creeping back into the other modules, and keeps the
 graph readers and the K-theory core reduction in Python ints.
 """
@@ -19,8 +18,6 @@ import sftcocycles
 ALLOWED = {
     ("sft", "entries"),
     ("ktheory", "perron_value"),
-    ("coboundary", "_return_sums"),
-    ("coboundary", "_nonzero_cycle"),
 }
 
 

@@ -163,8 +163,8 @@ def reference_base_normalized(self):
 
 def reference_potential(A, g):
     block, labels, weights = _block_weights(A, g)
-    beta = _forest_potential(block, weights)
-    if beta is None:
+    beta, heads = _forest_potential(block, weights)
+    if heads:
         return None, (block, labels, weights)
     b = reference_base_normalized(LocFun(A, g.depth, dict(zip(labels, beta))))
     return (b if reference_sub(reference_coboundary_transform(b), 1) == g else None), None
