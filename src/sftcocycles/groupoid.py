@@ -27,7 +27,7 @@ from .sft import (
     is_primitive,
 )
 from .coboundary import classify_potential
-from .locfun import _check_shift, cocycle_sum
+from .locfun import _check_shift, _window_sum
 from .support import inclusion_matrix
 
 __all__ = [
@@ -265,14 +265,20 @@ class MinimalityWitness:
         self.l = l
 
     def verify(self, A, f, z, mu):
+        """Whether x starts with mu, sigma^k(x) = sigma^l(z) and f^k(x) = f^l(z).
+
+        x and z are points, so admissible, and their windows are summed
+        without checking them again; f and z must live on the shift A.
+        """
+        _check_shift(A, f, z)
         mu = tuple(mu)
         if self.x.window(0, len(mu)) != mu:
             return False
         if self.x.shift(self.k) != z.shift(self.l):
             return False
         K = f.depth
-        fk = cocycle_sum(f, self.x.window(0, self.k + K - 1), self.k)
-        return fk == cocycle_sum(f, z.window(0, self.l + K - 1), self.l)
+        fk = _window_sum(f, self.x.window(0, self.k + K - 1), self.k)
+        return fk == _window_sum(f, z.window(0, self.l + K - 1), self.l)
 
     def as_dict(self):
         return {

@@ -282,7 +282,13 @@ def cocycle_sum(f, word, n):
             "word of length %d is too short for f^%d at depth %d"
             % (len(word), n, f.depth)
         )
-    return sum(f.table[word[i : i + f.depth]] for i in range(n))
+    return _window_sum(f, word, n)
+
+
+def _window_sum(f, word, n):
+    """f^n read off an admissible word of length at least n + depth(f) - 1."""
+    K, table = f.depth, f.table
+    return sum(table[word[i : i + K]] for i in range(n))
 
 
 def coboundary_transform(b):

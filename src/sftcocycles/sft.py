@@ -12,8 +12,9 @@ these.
 The matrix is kept as its transition graph: for every symbol, the
 ascending tuple of its followers and of its predecessors.  The flags
 are breadth-first searches over that graph, admissibility is a lookup
-in per-symbol follower sets; ``entries`` builds a dense NumPy array on
-each read and stores none, so importing the package loads no NumPy.
+in per-symbol follower sets.  ``entries``, the one place in the package
+that uses NumPy, builds a dense array on each read and stores none, so
+importing the package loads no NumPy.
 
 Each derived view of the shift comes from one routine: the predecessor
 tuples from the follower tuples (``TransitionMatrix._set_graph``), the
@@ -311,7 +312,11 @@ class TransitionMatrix:
     def entries(self):
         """The dense 0/1 matrix as a new read-only int64 array, never stored.
 
-        Its one reader left is ``kgroups.random`` in ``perfbench/workloads.py``.
+        The package itself reads the follower tuples or ``tolist()``.  The
+        one reader left is ``kgroups.random`` in ``perfbench/workloads.py``,
+        and it is the only reason ``numpy`` is still a runtime dependency:
+        this property and that dependency both go once the benchmark reads
+        ``perron_value(A)`` instead.
         """
         import numpy as np
         arr = np.array(self.tolist(), dtype=np.int64)
@@ -545,9 +550,16 @@ class PointSpec:
         """The point shifted left k times, as a new PointSpec."""
         k = _integer(k, "k", 0)
         if k <= len(self.preperiod):
-            return PointSpec(self.matrix, self.preperiod[k:], self.period)
+            return PointSpec._from_parts(self.matrix, self.preperiod[k:], self.period)
         r = (k - len(self.preperiod)) % len(self.period)
-        return PointSpec(self.matrix, (), self.period[r:] + self.period[:r])
+        return PointSpec._from_parts(self.matrix, (), self.period[r:] + self.period[:r])
+
+    @classmethod
+    def _from_parts(cls, matrix, preperiod, period):
+        # A tail of an admissible point is admissible: built unchecked.
+        self = cls.__new__(cls)
+        self.matrix, self.preperiod, self.period = matrix, preperiod, period
+        return self
 
     def prepend(self, word):
         """The point `word` . self, validated at the splice."""

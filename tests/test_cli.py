@@ -482,8 +482,9 @@ def test_import_does_not_load_networkx():
 
 
 def test_commands_without_a_dense_kernel_do_not_load_numpy(files, tmp_path):
-    # NumPy is imported only where it computes: the Perron value and the
-    # dense entries view.  b(sigma .) - b for b = chi_1 is a coboundary.
+    # NumPy is imported only by the dense entries view; the K-groups and
+    # the Perron value of `ktheory` compute in Python numbers.
+    # b(sigma .) - b for b = chi_1 is a coboundary.
     cob = tmp_path / "chi1_cob.json"
     cob.write_text(json.dumps({"depth": 2, "values": {"1,1": 0, "1,2": -1, "2,1": 1, "2,2": 0}}))
     argvs = [
@@ -491,6 +492,7 @@ def test_commands_without_a_dense_kernel_do_not_load_numpy(files, tmp_path):
         ["words", "--matrix", files["gm.json"], "--m", "3"],
         ["split", "--matrix", files["full2.json"], "--fn", files["chi1.json"], "--mu", "1", "--nu", "2"],
         ["coboundary", "check", "--matrix", files["full2.json"], "--fn", str(cob)],
+        ["ktheory", "--matrix", files["gm.json"]],
     ]
     code = (
         "import contextlib, io, sys\n"

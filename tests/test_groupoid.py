@@ -349,3 +349,25 @@ def test_potential_and_point_must_live_on_the_shift(golden, full2):
     twin = TransitionMatrix([[1, 1], [1, 0]])
     assert minimality_search(twin, chi, PointSpec(golden, (), (1,)), (1,)) is not None
     assert generator_fixed(twin, chi, (1,), (1,))
+
+
+def test_found_search_checks_each_word_once(full2, monkeypatch):
+    # mu, the prefix of z and the spliced x are checked; verify reads
+    # windows of points already checked and checks none again.
+    f = coboundary_transform(LocFun.indicator_cylinder(full2, (1,)))
+    z, mu = PointSpec(full2, (), (2,)), (1, 2)
+    checked = []
+    check_word = TransitionMatrix.check_word
+    monkeypatch.setattr(TransitionMatrix, "check_word", lambda A, w: checked.append(w) or check_word(A, w))
+    witness = minimality_search(full2, f, z, mu)
+    assert witness is not None and len(checked) == 4
+    checked.clear()
+    assert witness.verify(full2, f, z, mu) and checked == []
+
+
+def test_verify_refuses_a_function_of_another_shift(full2, golden):
+    f = coboundary_transform(LocFun.indicator_cylinder(full2, (1,)))
+    z, mu = PointSpec(full2, (), (2,)), (1, 2)
+    witness = minimality_search(full2, f, z, mu)
+    with pytest.raises(ValueError, match="f must live on the shift A"):
+        witness.verify(full2, LocFun.constant(golden, 1), z, mu)

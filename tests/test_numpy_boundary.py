@@ -1,13 +1,14 @@
-"""NumPy is imported only inside the functions that compute with it.
+"""NumPy is imported only by the dense ``entries`` view.
 
 The shift is held as follower tuples and every matrix from outside is
 read into rows of Python ints, so no module imports NumPy at load time.
-Two places compute with it and import it where they run: the dense
-``TransitionMatrix.entries`` view and the spectral radius that is the
-Perron value (``ktheory.perron_value``).  The coboundary witness search
-walks its defect sums in Python integers.  This test keeps a second matrix
-representation from creeping back into the other modules, and keeps the
-graph readers and the K-theory core reduction in Python ints.
+One place imports it where it runs: the dense ``TransitionMatrix.entries``
+view, kept for callers that want an array.  The Perron value is a Noda
+iteration on the weighted graph in Python floats, certified in
+fractions, and the coboundary witness search walks its defect sums in
+Python integers.  This test keeps a second matrix representation from
+creeping back into the other modules, and keeps the graph readers, the
+K-theory core reduction and the Perron value in Python numbers.
 """
 
 import ast
@@ -15,10 +16,7 @@ from pathlib import Path
 
 import sftcocycles
 
-ALLOWED = {
-    ("sft", "entries"),
-    ("ktheory", "perron_value"),
-}
+ALLOWED = {("sft", "entries")}
 
 
 def imports_numpy(node):
@@ -72,4 +70,4 @@ def test_graph_reads_rows_without_numpy():
 def test_core_reduces_without_numpy():
     # The reduction before the Smith form stays in exact Python integers.
     assert not function_uses_np("ktheory.py", "_core")
-    assert function_uses_np("ktheory.py", "perron_value")  # the scan does see np
+    assert function_uses_np("sft.py", "entries")  # the scan does see np
