@@ -17,7 +17,7 @@ and no witness search.  :func:`cycle_sums` is a small capped report of
 every simple cycle; no decision relies on it.
 """
 
-from .sft import _integer, higher_block
+from .sft import _excerpt, _integer, higher_block
 from .locfun import LocFun, _check_shift, coboundary_transform
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
 class NotCoboundaryError(ValueError):
     """The function has a periodic orbit with nonzero sum.
 
-    ``witness`` is the offending cycle, as a tuple of block-graph
-    vertices (each vertex an admissible word).
+    ``witness`` is the whole offending cycle, a tuple of block-graph
+    vertices (admissible words); the message quotes an excerpt of it.
     """
 
     def __init__(self, message, witness=None):
@@ -260,7 +260,7 @@ def solve_potential(A, g):
     if found is None:
         raise NotCoboundaryError("no locally constant potential exists")
     cyc, total = found
-    raise NotCoboundaryError("cycle %r has sum %d != 0" % (list(cyc), total), witness=cyc)
+    raise NotCoboundaryError("cycle %s has sum %d != 0" % (_excerpt(list(cyc)), total), witness=cyc)
 
 
 class PotentialClass:

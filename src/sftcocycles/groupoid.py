@@ -16,7 +16,7 @@ partition, and the fixed-generator predicate, expectation support,
 and minimality search are built on top of it.
 """
 
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 from .sft import (
     PointSpec,
@@ -193,9 +193,9 @@ def membership_split(A, f, z):
     """
     _check_shift(A, f)
     mu, nu = A.check_word(z.mu), A.check_word(z.nu)
-    K, table = f.depth, f.table
-    fixed_mu = sum(table[mu[i : i + K]] for i in range(len(mu) - K + 1))
-    fixed_nu = sum(table[nu[i : i + K]] for i in range(len(nu) - K + 1))
+    K = f.depth
+    fixed_mu = _window_sum(f, mu, len(mu) - K + 1)
+    fixed_nu = _window_sum(f, nu, len(nu) - K + 1)
     # The boundary windows start in these suffixes (the whole word when
     # it is shorter than K - 1).
     s_mu, s_nu = mu[max(0, len(mu) - K + 1) :], nu[max(0, len(nu) - K + 1) :]
@@ -207,9 +207,8 @@ def membership_split(A, f, z):
         return MembershipSplit((), pieces)
     inside, outside = [], []
     for w, piece in zip(tails, pieces):
-        a, b = s_mu + w, s_nu + w
-        boundary_mu = sum(table[a[i : i + K]] for i in range(len(s_mu)))
-        boundary_nu = sum(table[b[i : i + K]] for i in range(len(s_nu)))
+        boundary_mu = _window_sum(f, s_mu + w, len(s_mu))
+        boundary_nu = _window_sum(f, s_nu + w, len(s_nu))
         if fixed_mu + boundary_mu == fixed_nu + boundary_nu:
             inside.append(piece)
         else:
@@ -334,14 +333,7 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
     # Every symbol of z that a splice at l <= k_max reads, and the sums
     # fz[l] = f^l(z).
     z_prefix = f.matrix.check_word(z.window(0, k_max + max(K, m)))
-    fz = [0]
-    for l in range(k_max):
-        fz.append(fz[l] + table[z_prefix[l : l + K]])
-
-    def splice_sum(p, l):
-        # f^|p| on the cylinder of p . sigma^l(z): the windows starting in p.
-        w = p + z_prefix[l : l + K]
-        return sum(table[w[i : i + K]] for i in range(len(p)))
+    fz = list(accumulate((table[z_prefix[l : l + K]] for l in range(k_max)), initial=0))
 
     def build(p, l):
         witness = MinimalityWitness(z.shift(l).prepend(p), len(p), l)
@@ -366,7 +358,9 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
                 if not forced and head not in A.follower_set(suffix[-1]):
                     continue
                 # With K = 1 the suffix's own window is already in the sum.
-                boundary = splice_sum(suffix, l) if K > 1 else 0
+                boundary = (
+                    _window_sum(f, suffix + z_prefix[l : l + K], len(suffix)) if K > 1 else 0
+                )
                 p = frontier.get((suffix, fz[l] - boundary))
                 if p is not None:
                     found.append(p)

@@ -23,7 +23,7 @@ from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import floor, inf, nextafter, ulp
+from math import ceil, floor, inf, nextafter, ulp
 from operator import mul
 
 from .sft import (
@@ -335,8 +335,9 @@ def perron_value(M):
     *Rounding.*  Every half-way point of ``round(., d)`` for d <= 12 is a
     multiple of 1/(2 * 10^12).  Where such a multiple r lies inside the
     bracket, (rI - A) y = 1 is solved exactly in ``Fraction``s by the
-    same routine: y > 0 iff rho < r.  The value is then put strictly on
-    rho's side of every multiple, so ``round(value, d)`` is rho's correct
+    same routine: y > 0 iff rho < r, and a last pivot 0 iff rho = r, an
+    integer, returned exactly.  Else the value is put strictly on rho's
+    side of every multiple, so ``round(value, d)`` is rho's correct
     rounding for every d <= 12 wherever rho's interval between two
     multiples holds a float, as it does for every value below 4096.
 
@@ -418,7 +419,7 @@ def _noda(succ):
         width, previous = hi - lo, x
         pivots = pivots or _pivots(succ)
         y = _solve(succ, pivots, hi, x)
-        if y is None or not max(y) < inf:
+        if not y or not max(y) < inf:
             return x
         top = max(y)
         x = [v / top for v in y]
@@ -452,13 +453,16 @@ _HALF = Fraction(1, 2 * 10**12)  # the half-way points of round(., d <= 12) are 
 def _rounded(succ, lo, hi):
     """A float for rho in [lo, hi], strictly on rho's side of every multiple of _HALF.
 
-    The multiples inside the bracket are decided exactly by bisection:
-    rho < r iff (rI - A) y = 1 has a positive solution.
+    The multiples in the bracket are decided exactly by bisection: rho < r
+    iff (rI - A) y = 1 has a positive solution, rho = r iff it answers 0.
     """
-    a, b = floor(lo / _HALF), floor(hi / _HALF)
+    a, b = ceil(lo / _HALF) - 1, floor(hi / _HALF)
+    pivots = _pivots(succ) if a < b else None
     while a < b:
         m = (a + b + 1) // 2
-        y = _solve(succ, _pivots(succ), m * _HALF, [1] * len(succ))
+        y = _solve(succ, pivots, m * _HALF, [1] * len(succ))
+        if y == 0:
+            return float(m * _HALF)
         if y is not None and min(y) > 0:
             b = m - 1
         else:
@@ -520,12 +524,13 @@ def _pivots(succ):
 
 
 def _solve(succ, pivots, s, b):
-    """Solve (sI - A) y = b by elimination, or None if a pivot is not positive.
+    """Solve (sI - A) y = b by elimination: None if a pivot is not positive, 0 at s = rho.
 
     A is the weighted graph ``succ`` (row i maps j to A(i, j)), and the
     pivots come from :func:`_pivots`.  sI - A is a Z-matrix, and every
     pivot is positive exactly when it is a nonsingular M-matrix, that is
-    when s > rho for an irreducible A; then y > 0 for every b > 0.  The
+    when s > rho for an irreducible A; then y > 0 for every b > 0.  Only
+    at s = rho is the last pivot 0 and every other positive.  The
     arithmetic is that of s and b, floats or ``Fraction``s alike.
     """
     rows = [{j: -a for j, a in row.items()} for row in succ]
@@ -536,7 +541,7 @@ def _solve(succ, pivots, s, b):
         row = rows[p]
         pivot = row.pop(p)
         if not pivot > 0:
-            return None
+            return 0 if pivot == 0 and len(diagonal) == len(pivots) - 1 else None
         diagonal.append(pivot)
         bp = b[p]
         for i in targets:

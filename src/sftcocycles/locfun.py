@@ -209,31 +209,30 @@ def _check_shift(A, f, z=None):
 def _table_values(A, m, table, name):
     """The admissible m-words in order, and the table's values on them.
 
-    The table's keys must be exactly those words, and the first one
-    missing is named.  At most len(table) + 1 words of each length are
-    ever listed.  Every admissible word extends (no symbol lacks a
-    follower), so the first words of one length extend to the first
-    words of the next; keeping only the first len(table) + 1 lists every
-    word when the table can hold them all, and otherwise words enough
-    to show one missing.  A table without a key of length m misses every
-    word, and is refused before any is listed, whatever the depth.
+    The keys must be exactly those words, tuples of ``int`` symbols.  A
+    complete table costs one listing and one lookup per word.  The listing
+    stops at the first length with more words than keys; then
+    :func:`_first_gap` names the least word missed, in one sweep.
     """
     if not any(isinstance(w, tuple) and len(w) == m for w in table):
         raise ValueError("%s is missing every admissible word of length %d" % (name, m))
-    words = _list_words(A, range(1, A.n + 1), m, len(table) + 1)
+    words = _list_words(A, range(1, A.n + 1), m, len(table))
     try:
-        values = [table[w] for w in words]
-    except KeyError as missing:
-        word = missing.args[0]
-        raise ValueError("%s is missing the admissible word %r" % (name, word)) from None
-    if len(table) != len(words):
-        extra = set(table) - set(words)
-        try:
-            extra = sorted(extra)
-        except TypeError:  # keys of mixed types have no common order
-            extra = sorted(extra, key=repr)
-        raise ValueError("%s has entries for inadmissible words: %s" % (name, _excerpt(extra)))
-    return words, values
+        values = None if words is None else [table[w] for w in words]
+    except KeyError:
+        values = None
+    if values and len(table) == len(words) and {type(s) for w in table for s in w} == {int}:
+        return words, values
+    keys = {w for w in table if isinstance(w, tuple) and len(w) == m and A.is_admissible(w)}
+    if values is None:
+        gap = _first_gap(A, sorted(keys), m)
+        raise ValueError("%s is missing the admissible word %r" % (name, gap))
+    extra = [w for w in table if w not in keys]
+    try:
+        extra = sorted(extra)
+    except TypeError:  # keys of mixed types have no common order
+        extra = sorted(extra, key=repr)
+    raise ValueError("%s has entries for inadmissible words: %s" % (name, _excerpt(extra)))
 
 
 def _normalize(depth, table):
@@ -459,13 +458,20 @@ def _check_partition(matrix, words, role):
     words = sorted(words)
     for a, b in zip(words, words[1:]):
         if b[: len(a)] == a:
-            raise ValueError(
-                "%s cylinders overlap: %s is a prefix of %s"
-                % (role, _excerpt(a), _excerpt(b))
-            )
-    # Sorted, the cylinders tile the shift in turn: each word is the gap
-    # (the least uncovered word) extended by least followers, and the next
-    # gap is the next sibling of its deepest symbol that has one.
+            pair = (role, _excerpt(a), _excerpt(b))
+            raise ValueError("%s cylinders overlap: %s is a prefix of %s" % pair)
+    gap = _first_gap(matrix, words, max(len(w) for w in words))
+    if gap is not None:
+        raise ValueError("%s cylinders do not cover the word %s" % (role, _excerpt(gap)))
+
+
+def _first_gap(matrix, words, depth):
+    """The least admissible depth-word outside the cylinders of `words`, or None.
+
+    Sorted prefix-free admissible words, at most `depth` long, tile in turn:
+    each is the gap (the least uncovered word) extended by least followers,
+    and the next gap is the next sibling of its deepest symbol with one.
+    """
     follow, gap = matrix.followers, (1,)
     for w in words:
         k = len(gap)
@@ -477,11 +483,11 @@ def _check_partition(matrix, words, role):
                 gap = w[:j] + (siblings[siblings.index(w[j]) + 1],)
                 break
         else:
-            return
-    gap, depth = list(gap), max(len(w) for w in words)
+            return None
+    gap = list(gap)
     while len(gap) < depth:
         gap.append(follow(gap[-1])[0])
-    raise ValueError("%s cylinders do not cover the word %s" % (role, _excerpt(tuple(gap))))
+    return tuple(gap)
 
 
 def _tail_form(h, word, drop):
@@ -590,11 +596,7 @@ def _full_group_transfer(g, h):
     # G(x) = g^|dst|(h x) - g^|src|(x) sums g up to where h x and x
     # reach the same tail, so the transfer is g + G - G(sigma .).
     A, K = h.matrix, g.depth
-
-    def ergodic_sum(word, n):
-        return sum(g.table[word[i : i + K]] for i in range(n))
-
     G = {}
     for w, src, dst in h._runs(h.max_src + K - 1):
-        G[w] = ergodic_sum(dst + w[len(src) :], len(dst)) - ergodic_sum(w, len(src))
+        G[w] = _window_sum(g, dst + w[len(src) :], len(dst)) - _window_sum(g, w, len(src))
     return LocFun._tabulate(A, h.max_src + K, lambda w: g.table[w[:K]] + G[w[:-1]] - G[w[1:]])

@@ -429,13 +429,11 @@ def enumerate_words(A, m, after=None):
 
 
 def _list_words(A, first, m, cap=maxsize):
-    """The first `cap` (by default all) admissible m-words from `first`, m >= 1."""
+    """The admissible m-words from `first` (m >= 1); None once a length has more than `cap`."""
     words = [(i,) for i in first]
-    del words[cap:]
-    for _ in range(m - 1):
+    while len(words) <= cap and len(words[0]) < m:
         words = [w + (j,) for w in words for j in A.followers(w[-1])]
-        del words[cap:]
-    return words
+    return words if len(words) <= cap else None
 
 
 def higher_block(A, K):

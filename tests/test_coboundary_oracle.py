@@ -26,6 +26,7 @@ from sftcocycles import (
     solve_potential,
 )
 from sftcocycles.coboundary import PotentialClass
+from sftcocycles.sft import _excerpt
 
 BASES = {
     "golden": [[1, 1], [1, 0]],
@@ -104,7 +105,7 @@ def reference_solve_potential(A, g):
         if found is not None:
             cyc, total = found
             raise NotCoboundaryError(
-                "cycle %r has sum %d != 0" % (list(cyc), total), witness=cyc
+                "cycle %s has sum %d != 0" % (_excerpt(list(cyc)), total), witness=cyc
             )
         raise NotCoboundaryError("no locally constant potential exists")
 

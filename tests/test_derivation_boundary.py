@@ -4,8 +4,11 @@ The predecessor tuples of a `TransitionMatrix` are derived from its
 follower tuples by ``TransitionMatrix._set_graph`` alone, whichever
 constructor runs, and the package holds one level loop over admissible
 words, ``sft._list_words``, which ``enumerate_words`` and the table check
-``locfun._table_values`` share.  The scans below read the package's
-source, so a second copy of either derivation fails them.
+``locfun._table_values`` share.  One sweep, ``locfun._first_gap``, names
+the least word that a set of cylinders misses, for the partition check
+of full-group elements and for the table check alike.  The scans below
+read the package's source, so a second copy of any of these derivations
+fails them.
 """
 
 import ast
@@ -70,6 +73,22 @@ def transposes(node):
     )
 
 
+def is_next_sibling_step(node):
+    # siblings[siblings.index(s) + 1]: the symbol after s among its siblings,
+    # the step from one uncovered word to the next.
+    if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)):
+        return False
+    index = node.slice
+    return (
+        isinstance(index, ast.BinOp)
+        and isinstance(index.op, ast.Add)
+        and isinstance(index.left, ast.Call)
+        and getattr(index.left.func, "attr", None) == "index"
+        and getattr(index.left.func.value, "id", None) == node.value.id
+        and getattr(index.right, "value", None) == 1
+    )
+
+
 def calls(module, function, callee):
     source = (Path(sftcocycles.__file__).parent / module).read_text()
     func = next(
@@ -114,6 +133,19 @@ class TransitionMatrix:
 '''
 
 
+# The sweep as the partition check held it, before the table check shared it.
+EARLIER_GAP_SWEEP = '''
+def _check_partition(matrix, words, role):
+    follow, gap = matrix.followers, (1,)
+    for w in words:
+        for j in range(len(w) - 1, -1, -1):
+            siblings = follow(w[j - 1]) if j else range(1, matrix.n + 1)
+            if w[j] != siblings[-1]:
+                gap = w[:j] + (siblings[siblings.index(w[j]) + 1],)
+                break
+'''
+
+
 def test_the_scans_see_the_earlier_copies():
     assert scan(ast.parse(EARLIER_WORD_LISTING), "m", is_level_loop) == {
         ("m", "enumerate_words"),
@@ -128,6 +160,14 @@ def test_one_level_loop_over_admissible_words():
     assert package_scan(is_level_loop) == {("sft", "_list_words")}
     assert calls("sft.py", "enumerate_words", "_list_words")
     assert calls("locfun.py", "_table_values", "_list_words")
+
+
+def test_one_sweep_names_the_least_missing_word():
+    sweep = ast.parse(EARLIER_GAP_SWEEP)
+    assert scan(sweep, "m", is_next_sibling_step) == {("m", "_check_partition")}
+    assert package_scan(is_next_sibling_step) == {("locfun", "_first_gap")}
+    assert calls("locfun.py", "_check_partition", "_first_gap")
+    assert calls("locfun.py", "_table_values", "_first_gap")
 
 
 def test_predecessor_tuples_are_built_in_set_graph_only():

@@ -179,3 +179,41 @@ def test_a_value_outside_the_bracket_is_refused(monkeypatch):
     monkeypatch.setattr(ktheory, "_rounded", lambda *args: rounded(*args) * (1 + 1e-9))
     with pytest.raises(RuntimeError, match="self-check"):
         perron_value([[1, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "rows, rho",
+    [
+        ([[0, 0, 1], [1, 1, 1], [1, 1, 0]], 2),
+        ([[0, 0, 1, 0], [1, 1, 0, 1], [1, 1, 1, 1], [1, 1, 1, 1]], 3),
+        ([[1, 0, 1, 1], [1, 1, 1, 1], [1, 0, 1, 0], [1, 1, 1, 1]], 3),
+    ],
+    ids=["rho2", "rho3-a", "rho3-b"],
+)
+def test_an_integer_perron_value_is_exact(rows, rho):
+    # The final bracket holds the integer, so the exact bisection solves
+    # (rho I - A) y = 1: every pivot is positive but the last, which is 0.
+    assert perron_value(rows) == float(rho)
+    succ = ktheory._perron_graph(rows)
+    pivots = ktheory._pivots(succ)
+    ones = [1] * len(succ)
+    assert ktheory._solve(succ, pivots, Fraction(rho), ones) == 0
+    assert ktheory._solve(succ, pivots, Fraction(rho) - Fraction(1, 10**12), ones) is None
+    assert min(ktheory._solve(succ, pivots, Fraction(rho) + Fraction(1, 10**12), ones)) > 0
+    # A bracket whose lower end is rho itself, or that is rho alone.
+    tiny = Fraction(1, 10**13)
+    assert ktheory._rounded(succ, Fraction(rho), rho + tiny) == float(rho)
+    assert ktheory._rounded(succ, rho - tiny, Fraction(rho)) == float(rho)
+    assert ktheory._rounded(succ, Fraction(rho), Fraction(rho)) == float(rho)
+
+
+def test_every_integer_perron_value_of_the_corpus_is_exact():
+    lam = sympy.Symbol("lam")
+    integers = 0
+    for rows in irreducible_corpus(max_n=8):
+        value = perron_value(rows)
+        k = round(value)
+        if sympy.Matrix(rows).charpoly(lam).as_expr().subs(lam, k) == 0 and abs(value - k) < 1e-9:
+            assert value == float(k), rows
+            integers += 1
+    assert integers >= 9
