@@ -22,6 +22,7 @@ from .sft import (
     PointSpec,
     _excerpt,
     _integer,
+    _list_words,
     enumerate_words,
     has_cycle_within,
     is_primitive,
@@ -137,6 +138,8 @@ def _end_matched(mu, nu):
 
 def invert(z):
     """The inverse bisection (nu, mu); involutive."""
+    if not isinstance(z, Bisection):
+        raise ValueError("z must be a Bisection")
     return Bisection(z.nu, z.mu)
 
 
@@ -187,20 +190,33 @@ def membership_split(A, f, z):
     symbols and read into w.  The fixed parts are summed once per call.
     When mu and nu end in the same K - 1 symbols the boundary parts
     cancel and every piece takes the fixed parts' verdict; otherwise
-    only the boundary parts are summed per tail.  So a call costs
-    O(|mu| + |nu|) table lookups plus O(K) per piece when the suffixes
-    differ, and one tuple per piece either way.
+    only the boundary parts are summed per tail.  So a call checks mu
+    and nu once, lists its tails without checking them again, and costs
+    O(|mu| + |nu|) table lookups, plus O(K) per piece when the suffixes
+    differ, and one new piece per tail either way.
     """
     _check_shift(A, f)
-    mu, nu = A.check_word(z.mu), A.check_word(z.nu)
+    if not isinstance(z, Bisection):
+        raise ValueError("z must be a Bisection")
+    return _split(A, f, A.check_word(z.mu), A.check_word(z.nu))
+
+
+def _split(A, f, mu, nu):
+    # The split of an end-matched pair (mu, nu) of admissible words, for
+    # f on A, with nothing checked again.
     K = f.depth
     fixed_mu = _window_sum(f, mu, len(mu) - K + 1)
     fixed_nu = _window_sum(f, nu, len(nu) - K + 1)
     # The boundary windows start in these suffixes (the whole word when
     # it is shorter than K - 1).
     s_mu, s_nu = mu[max(0, len(mu) - K + 1) :], nu[max(0, len(nu) - K + 1) :]
-    tails = enumerate_words(A, K - 1, after=mu[-1])
-    pieces = [_end_matched(mu + w, nu + w) for w in tails]
+    tails = _list_words(A, A.followers(mu[-1]), K - 1) if K > 1 else [()]
+    pieces = []
+    for w in tails:
+        # End-matched as (mu, nu) is: built as _end_matched builds it.
+        piece = object.__new__(Bisection)
+        piece.mu, piece.nu = mu + w, nu + w
+        pieces.append(piece)
     if s_mu == s_nu:
         if fixed_mu == fixed_nu:
             return MembershipSplit(pieces, ())
@@ -218,11 +234,11 @@ def membership_split(A, f, z):
 
 def _split_pair(A, f, mu, nu):
     # The membership splits of the canonical pieces of (mu, nu), joined
-    # into one split of the pair.
+    # into one split of the pair; canonicalize checks mu and nu once.
     _check_shift(A, f)
     inside, outside = [], []
     for piece in canonicalize(A, mu, nu):
-        split = membership_split(A, f, piece)
+        split = _split(A, f, piece.mu, piece.nu)
         inside.extend(split.inside)
         outside.extend(split.outside)
     return MembershipSplit(inside, outside)

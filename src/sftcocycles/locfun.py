@@ -14,7 +14,16 @@ equal iff their normalized tables coincide.  Everything here is pure
 and immutable.
 """
 
-from .sft import TransitionMatrix, _excerpt, _integer, _integers, _list_words, enumerate_words
+from .sft import (
+    PointSpec,
+    TransitionMatrix,
+    _excerpt,
+    _excerpt_ends,
+    _integer,
+    _integers,
+    _list_words,
+    enumerate_words,
+)
 
 __all__ = [
     "LocFun",
@@ -199,10 +208,22 @@ class LocFun:
 
 
 def _check_shift(A, f, z=None):
-    """Refuse a function f, or a point z, that does not live on the shift A."""
+    """Refuse an A, f or z of the wrong type, or an f or z off the shift A."""
+    if not isinstance(A, TransitionMatrix):
+        raise ValueError("A must be a TransitionMatrix")
+    if not isinstance(f, LocFun):
+        raise ValueError("f must be a LocFun")
     if not A.same_matrix(f.matrix):
         raise ValueError("f must live on the shift A")
-    if z is not None and not A.same_matrix(z.matrix):
+    if z is not None:
+        _check_point(A, z)
+
+
+def _check_point(A, z):
+    """Refuse a z that is not a point of the shift A."""
+    if not isinstance(z, PointSpec):
+        raise ValueError("z must be a PointSpec")
+    if not A.same_matrix(z.matrix):
         raise ValueError("z must be a point of the shift A")
 
 
@@ -226,7 +247,7 @@ def _table_values(A, m, table, name):
     keys = {w for w in table if isinstance(w, tuple) and len(w) == m and A.is_admissible(w)}
     if values is None:
         gap = _first_gap(A, sorted(keys), m)
-        raise ValueError("%s is missing the admissible word %r" % (name, gap))
+        raise ValueError("%s is missing the admissible word %s" % (name, _excerpt_ends(gap)))
     extra = [w for w in table if w not in keys]
     try:
         extra = sorted(extra)
@@ -272,6 +293,8 @@ def cocycle_sum(f, word, n):
     >>> cocycle_sum(f, (1, 1, 2, 1, 1), 3)
     1
     """
+    if not isinstance(f, LocFun):
+        raise ValueError("f must be a LocFun")
     n = _integer(n, "n", 0)
     word = f.matrix.check_word(word)
     if n == 0:
@@ -286,8 +309,10 @@ def cocycle_sum(f, word, n):
 
 def _window_sum(f, word, n):
     """f^n read off an admissible word of length at least n + depth(f) - 1."""
-    K, table = f.depth, f.table
-    return sum(table[word[i : i + K]] for i in range(n))
+    K, table, total = f.depth, f.table, 0
+    for i in range(n):
+        total += table[word[i : i + K]]
+    return total
 
 
 def coboundary_transform(b):
@@ -412,7 +437,7 @@ class FullGroupElement:
         return out[:m]
 
     def apply_point(self, point):
-        _check_shift(self.matrix, self, point)
+        _check_point(self.matrix, point)
         pre = point.window(0, self.max_src)
         src, dst = self.rule_for(pre)
         shifted = point.shift(len(src))

@@ -96,6 +96,20 @@ def _excerpt(value):
     return "%s... (%d characters, cut)" % (text[:_EXCERPT], len(text))
 
 
+def _excerpt_ends(word):
+    """``repr(word)``, or its two ends marked as cut.
+
+    Like :func:`_excerpt`, but a cut keeps the last ``_EXCERPT // 2``
+    characters too, since a word's last symbols show where it leaves a
+    table.  A word's symbols are small ints, so its repr always prints.
+    """
+    text = repr(word)
+    if len(text) <= _EXCERPT:
+        return text
+    head, tail = text[:_EXCERPT], text[-(_EXCERPT // 2) :]
+    return "%s...%s (%d characters, cut)" % (head, tail, len(text))
+
+
 def _integers(values, name):
     """The values as a list of Python ints, each through :func:`_integer`.
 
@@ -538,11 +552,16 @@ class PointSpec:
     def window(self, offset, length):
         """The `length` symbols of the shifted point sigma^offset(.)."""
         offset = _integer(offset, "offset", 0)
+        length = _integer(length, "length", 0)
         pre, per = self.preperiod, self.period
-        return tuple(
-            pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
-            for i in range(offset, offset + _integer(length, "length", 0))
-        )
+        head = pre[offset : offset + length]
+        need = length - len(head)
+        if not need:
+            return head
+        # The rest reads the period from the phase where the window leaves
+        # the preperiod, through as many repetitions as it spans.
+        start = max(offset - len(pre), 0) % len(per)
+        return head + (per * -(-(start + need) // len(per)))[start : start + need]
 
     def shift(self, k):
         """The point shifted left k times, as a new PointSpec."""

@@ -20,6 +20,7 @@ from sftcocycles import (
     minimality_search,
     minimality_verdict,
 )
+from sftcocycles import groupoid, locfun, sft
 
 from conftest import brute_membership, count_in, end_matched_bisections, tail_from
 
@@ -363,6 +364,30 @@ def test_found_search_checks_each_word_once(full2, monkeypatch):
     assert witness is not None and len(checked) == 4
     checked.clear()
     assert witness.verify(full2, f, z, mu) and checked == []
+
+
+def test_splits_check_each_word_once_and_list_no_words(full2, monkeypatch):
+    # membership_split checks its two words and lists its tails without
+    # enumerate_words; generator_fixed checks mu and nu in canonicalize
+    # and none of the canonical pieces again, however many there are.
+    f = LocFun(full2, 3, {w: sum(w) % 3 for w in enumerate_words(full2, 3)})
+    checked, listed = [], []
+    check_word = TransitionMatrix.check_word
+    monkeypatch.setattr(TransitionMatrix, "check_word", lambda A, w: checked.append(w) or check_word(A, w))
+    for module in (sft, locfun, groupoid):
+        enumerate_all = module.enumerate_words
+        monkeypatch.setattr(
+            module, "enumerate_words", lambda *args, _e=enumerate_all, **kw: listed.append(args) or _e(*args, **kw)
+        )
+    split = membership_split(full2, f, Bisection((1, 2), (2, 2)))
+    assert len(split.inside) + len(split.outside) == 4
+    assert listed == [] and checked == [(1, 2), (2, 2)]
+    for mu, nu, pieces in ((1,), (1,), 1), ((1,), (2,), 2), ((1, 2), (2, 1), 2):
+        checked.clear()
+        assert len(canonicalize(full2, mu, nu)) == pieces
+        checked.clear()
+        generator_fixed(full2, f, mu, nu)
+        assert checked == [mu, nu] and listed == []
 
 
 def test_verify_refuses_a_function_of_another_shift(full2, golden):

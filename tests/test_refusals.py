@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from sftcocycles import (
+    Bisection,
     BlockCode,
     FullGroupElement,
     LocFun,
@@ -20,9 +21,14 @@ from sftcocycles import (
     PointSpec,
     TransferIdentityError,
     TransitionMatrix,
+    cocycle_sum,
     decode_return_times,
     enumerate_words,
+    generator_fixed,
+    invert,
+    membership_split,
     minimality_search,
+    minimality_verdict,
     psi_transfer,
     suspended_matrix,
 )
@@ -174,6 +180,42 @@ def test_witness_verify_is_false_when_the_tails_differ(full2):
     # with mu and both cocycle sums are 1.
     witness = MinimalityWitness(PointSpec(full2, (2,), (2,)), 1, 1)
     assert not witness.verify(full2, f, z, (2,))
+
+
+# A value of the wrong type at the groupoid boundary: each call names the
+# argument and the type it needs, where it would otherwise fail on an
+# attribute the value lacks.
+GROUPOID_TYPE_REFUSALS = {
+    "membership_split-z": (
+        lambda A, f: membership_split(A, f, ((1,), (1,))),
+        "z must be a Bisection",
+    ),
+    "membership_split-A": (
+        lambda A, f: membership_split(FULL2, f, Bisection((1,), (1,))),
+        "A must be a TransitionMatrix",
+    ),
+    "membership_split-f": (
+        lambda A, f: membership_split(A, dict(f.table), Bisection((1,), (1,))),
+        "f must be a LocFun",
+    ),
+    "invert": (lambda A, f: invert(((1,), (1,))), "z must be a Bisection"),
+    "generator_fixed-A": (
+        lambda A, f: generator_fixed(FULL2, f, (1,), (1,)),
+        "A must be a TransitionMatrix",
+    ),
+    "minimality_search-z": (
+        lambda A, f: minimality_search(A, f, ((), (1,)), (1,)),
+        "z must be a PointSpec",
+    ),
+    "minimality_verdict-f": (lambda A, f: minimality_verdict(A, None), "f must be a LocFun"),
+    "cocycle_sum-f": (lambda A, f: cocycle_sum({}, (1,), 1), "f must be a LocFun"),
+}
+
+
+@pytest.mark.parametrize("call, message", GROUPOID_TYPE_REFUSALS.values(), ids=GROUPOID_TYPE_REFUSALS)
+def test_a_value_of_the_wrong_type_is_refused_by_name(full2, call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call(full2, LocFun.constant(full2, 1))
 
 
 # ------------------------------------------------------------------ CLI

@@ -9,7 +9,10 @@ of every length instead, which cost O(depth^2) for a deep table.  Both
 must give the same words and values, or the same refusal, on every
 table here.  The one intended difference: a key whose symbols only
 compare equal to ints, such as ``(True,)``, ``(1.0,)`` or
-``(np.int64(1),)``, is no word, so a table holding one is refused.
+``(np.int64(1),)``, is no word, so a table holding one is refused.  The
+earlier check quoted a missing word whole; below it quotes it through
+``sft._excerpt_ends``, as the check does now, so the messages still
+compare exactly.
 """
 
 import itertools
@@ -23,7 +26,7 @@ import pytest
 from sftcocycles import BlockCode, LocFun, TransitionMatrix, enumerate_words
 from sftcocycles import sft
 from sftcocycles.locfun import _table_values
-from sftcocycles.sft import _excerpt
+from sftcocycles.sft import _excerpt, _excerpt_ends
 
 BASES = {
     "golden": [[1, 1], [1, 0]],
@@ -64,7 +67,7 @@ def reference_table_values(A, m, table, name):
         values = [table[w] for w in words]
     except KeyError as missing:
         word = missing.args[0]
-        raise ValueError("%s is missing the admissible word %r" % (name, word)) from None
+        raise ValueError("%s is missing the admissible word %s" % (name, _excerpt_ends(word))) from None
     if len(table) != len(words):
         extra = set(table) - set(words)
         try:
@@ -234,7 +237,7 @@ def test_a_deep_table_is_refused_without_listing():
     # 0.01 s on a 2-vCPU VM.
     golden = TransitionMatrix(BASES["golden"])
     d = 32000
-    missing = "is missing the admissible word %r" % ((1,) * (d - 1) + (2,),)
+    missing = "is missing the admissible word %s" % _excerpt_ends((1,) * (d - 1) + (2,))
     for build, name in (
         (lambda: LocFun(golden, d, {(1,) * d: 0}), "table"),
         (lambda: BlockCode(golden, golden, d, {(1,) * d: 1}), "code table"),
