@@ -11,70 +11,24 @@ dimension data.  A small CLI exposes the same operations over JSON
 files.
 """
 
-from .sft import (
-    TransitionMatrix,
-    PointSpec,
-    enumerate_words,
-    higher_block,
-    has_cycle_within,
-    is_irreducible,
-    is_primitive,
-)
-from .locfun import (
-    LocFun,
-    BlockCode,
-    FullGroupElement,
-    TransferIdentityError,
-    make_chi_H,
-    cocycle_sum,
-    coboundary_transform,
-    psi_transfer,
-)
-from .groupoid import (
-    Bisection,
-    MembershipSplit,
-    MinimalityWitness,
-    MinimalityVerdict,
-    canonicalize,
-    compose,
-    invert,
-    membership_split,
-    generator_fixed,
-    expectation_support,
-    minimality_search,
-    minimality_verdict,
-)
-from .support import (
-    NotSaturatedError,
-    SigmaFamily,
-    InclusionMatrix,
-    CensusResult,
-    is_saturated,
-    sigma_family,
-    inclusion_matrix,
-    weight_word_census,
-)
-from .coboundary import (
-    NotCoboundaryError,
-    PotentialClass,
-    cycle_sums,
-    shortest_nonzero_cycle,
-    solve_potential,
-    classify_potential,
-)
-from .suspension import (
-    SuspendedMatrix,
-    suspended_matrix,
-    reduce_to_first_coordinate,
-    encode_word,
-    decode_return_times,
-    corner_partition_check,
-)
-from .ktheory import (
-    smith_normal_form,
-    ck_k_groups,
-    dimension_report,
-    perron_value,
+from . import coboundary, groupoid, ktheory, locfun, sft, support, suspension
+from .sft import *
+from .locfun import *
+from .groupoid import *
+from .support import *
+from .coboundary import *
+from .suspension import *
+from .ktheory import *
+
+# The public names: those of the seven modules, each listed once there.
+__all__ = (
+    sft.__all__
+    + locfun.__all__
+    + groupoid.__all__
+    + support.__all__
+    + coboundary.__all__
+    + suspension.__all__
+    + ktheory.__all__
 )
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ from .groupoid import (
 )
 from .support import (
     NotSaturatedError,
+    _avoiding_cycle,
     sigma_family,
     inclusion_matrix,
     is_saturated,
@@ -232,8 +233,7 @@ def _cmd_higher_block(args):
 
 def _cmd_saturated(args):
     A = _load_matrix(args.matrix)
-    H = A.check_symbols(set(_parse_word(args.H)))
-    witness = has_cycle_within(A, set(range(1, A.n + 1)) - H)
+    _, witness = _avoiding_cycle(A, set(_parse_word(args.H)))
     _emit({"saturated": witness is None, "witness": list(witness) if witness else None})
     return 0 if witness is None else NEGATIVE_VERDICT
 

@@ -17,7 +17,7 @@ and no witness search.  :func:`cycle_sums` is a small capped report of
 every simple cycle; no decision relies on it.
 """
 
-from .sft import _excerpt, _integer, higher_block
+from .sft import _excerpt, _integer, _tuple, higher_block
 from .locfun import LocFun, _check_shift, coboundary_transform
 
 __all__ = [
@@ -277,7 +277,7 @@ class PotentialClass:
 
     def __init__(self, kind, kinds, constant, chi_H, coboundary_b, note):
         self.kind = kind
-        self.kinds = tuple(kinds)
+        self.kinds = _tuple(kinds, "kinds")
         self.constant = constant
         self.chi_H = chi_H
         self.coboundary_b = coboundary_b
@@ -307,6 +307,7 @@ def classify_potential(A, f):
     (a verified potential b of f - 1, no witness).  All detected shapes
     are reported; the overlaps are degenerate and flagged in ``note``.
     """
+    _check_shift(A, f)
     kinds = []
     constant = f.table[min(f.table)] if f.is_constant() else None
     if constant is not None and constant >= 1:

@@ -20,16 +20,20 @@ from itertools import accumulate, chain, islice
 
 from .sft import (
     PointSpec,
+    TransitionMatrix,
     _excerpt,
     _integer,
+    _length,
     _list_words,
+    _require,
+    _tuple,
     enumerate_words,
     has_cycle_within,
     is_primitive,
 )
 from .coboundary import classify_potential
 from .locfun import _check_shift, _window_sum
-from .support import inclusion_matrix
+from .support import _avoiding_cycle, inclusion_matrix
 
 __all__ = [
     "Bisection",
@@ -59,7 +63,10 @@ class Bisection:
     __slots__ = ("mu", "nu")
 
     def __init__(self, mu, nu):
-        mu, nu = tuple(mu), tuple(nu)
+        if type(mu) is not tuple:
+            mu = _tuple(mu, "mu")
+        if type(nu) is not tuple:
+            nu = _tuple(nu, "nu")
         if not mu or not nu:
             raise ValueError("bisection words must be nonempty")
         if mu[-1] != nu[-1]:
@@ -99,6 +106,7 @@ def canonicalize(A, mu, nu):
     symbols.  The empty list means the pair carries no groupoid points
     at all (the product S_mu S_nu* is zero).
     """
+    _require(A, TransitionMatrix, "A")
     mu, nu = A.check_word(mu), A.check_word(nu)
     if not mu or not nu:
         raise ValueError("bisection words must be nonempty")
@@ -118,6 +126,10 @@ def compose(z1, z2):
     piece w sits inside an already admissible word whose junction
     symbol equals the matched last symbol.
     """
+    # Products are swept by the ten thousand: the gate is called on a miss only.
+    if not (isinstance(z1, Bisection) and isinstance(z2, Bisection)):
+        _require(z1, Bisection, "z1")
+        _require(z2, Bisection, "z2")
     mu, nu = z1.mu, z1.nu
     xi, eta = z2.mu, z2.nu
     if xi[: len(nu)] == nu:
@@ -138,8 +150,7 @@ def _end_matched(mu, nu):
 
 def invert(z):
     """The inverse bisection (nu, mu); involutive."""
-    if not isinstance(z, Bisection):
-        raise ValueError("z must be a Bisection")
+    _require(z, Bisection, "z")
     return Bisection(z.nu, z.mu)
 
 
@@ -154,8 +165,15 @@ class MembershipSplit:
     __slots__ = ("inside", "outside")
 
     def __init__(self, inside, outside):
-        self.inside = tuple(inside)
-        self.outside = tuple(outside)
+        self.inside = _tuple(inside, "inside")
+        self.outside = _tuple(outside, "outside")
+
+    @classmethod
+    def _from_pieces(cls, inside, outside):
+        # Pieces the package built, one split per membership test: unchecked.
+        self = cls.__new__(cls)
+        self.inside, self.outside = tuple(inside), tuple(outside)
+        return self
 
     def all_inside(self):
         return not self.outside
@@ -196,8 +214,8 @@ def membership_split(A, f, z):
     differ, and one new piece per tail either way.
     """
     _check_shift(A, f)
-    if not isinstance(z, Bisection):
-        raise ValueError("z must be a Bisection")
+    if not isinstance(z, Bisection):  # the gate, called on a miss only
+        _require(z, Bisection, "z")
     return _split(A, f, A.check_word(z.mu), A.check_word(z.nu))
 
 
@@ -219,8 +237,8 @@ def _split(A, f, mu, nu):
         pieces.append(piece)
     if s_mu == s_nu:
         if fixed_mu == fixed_nu:
-            return MembershipSplit(pieces, ())
-        return MembershipSplit((), pieces)
+            return MembershipSplit._from_pieces(pieces, ())
+        return MembershipSplit._from_pieces((), pieces)
     inside, outside = [], []
     for w, piece in zip(tails, pieces):
         boundary_mu = _window_sum(f, s_mu + w, len(s_mu))
@@ -229,7 +247,7 @@ def _split(A, f, mu, nu):
             inside.append(piece)
         else:
             outside.append(piece)
-    return MembershipSplit(inside, outside)
+    return MembershipSplit._from_pieces(inside, outside)
 
 
 def _split_pair(A, f, mu, nu):
@@ -241,7 +259,7 @@ def _split_pair(A, f, mu, nu):
         split = _split(A, f, piece.mu, piece.nu)
         inside.extend(split.inside)
         outside.extend(split.outside)
-    return MembershipSplit(inside, outside)
+    return MembershipSplit._from_pieces(inside, outside)
 
 
 def generator_fixed(A, f, mu, nu):
@@ -275,9 +293,9 @@ class MinimalityWitness:
     __slots__ = ("x", "k", "l")
 
     def __init__(self, x, k, l):
-        self.x = x
-        self.k = k
-        self.l = l
+        self.x = _require(x, PointSpec, "x")
+        self.k = _integer(k, "k", 0)
+        self.l = _integer(l, "l", 0)
 
     def verify(self, A, f, z, mu):
         """Whether x starts with mu, sigma^k(x) = sigma^l(z) and f^k(x) = f^l(z).
@@ -286,7 +304,7 @@ class MinimalityWitness:
         without checking them again; f and z must live on the shift A.
         """
         _check_shift(A, f, z)
-        mu = tuple(mu)
+        mu = _tuple(mu, "mu")
         if self.x.window(0, len(mu)) != mu:
             return False
         if self.x.shift(self.k) != z.shift(self.l):
@@ -336,7 +354,7 @@ def minimality_search(A, f, z, mu, k_max=24, value_max=64):
     any length, depth K and alphabet size n.  f and z must live on the
     shift A.
     """
-    k_max, value_max = _integer(k_max, "k_max", 0), _integer(value_max, "value_max", 0)
+    k_max, value_max = _length(k_max, "k_max", 0), _integer(value_max, "value_max", 0)
     _check_shift(A, f, z)
     mu = A.check_word(mu)
     if not mu:
@@ -419,7 +437,7 @@ class MinimalityVerdict:
         self.kind = kind
         self.certified = certified
         self.reason = reason
-        self.evidence = tuple(evidence)
+        self.evidence = _tuple(evidence, "evidence")
 
     def as_dict(self):
         return {
@@ -483,7 +501,7 @@ def minimality_verdict(A, f, k_max=24, value_max=64):
     returns "unknown".  Both search bounds must be nonnegative integers,
     and f must live on the shift A.
     """
-    k_max, value_max = _integer(k_max, "k_max", 0), _integer(value_max, "value_max", 0)
+    k_max, value_max = _length(k_max, "k_max", 0), _integer(value_max, "value_max", 0)
     _check_shift(A, f)
     if not A.irreducible:
         raise ValueError("minimality verdict requires an irreducible matrix")
@@ -500,8 +518,7 @@ def minimality_verdict(A, f, k_max=24, value_max=64):
             "minimal", True, "unit coboundary over a primitive matrix"
         )
     if cls.chi_H is not None and cls.chi_H and len(cls.chi_H) < A.n:
-        H = cls.chi_H
-        cycle = has_cycle_within(A, set(range(1, A.n + 1)) - H)
+        H, cycle = _avoiding_cycle(A, cls.chi_H)
         if cycle is not None:
             z = PointSpec(A, (), cycle)
             mu = (min(H),)

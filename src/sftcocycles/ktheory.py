@@ -29,8 +29,9 @@ from operator import mul
 from .sft import (
     TransitionMatrix,
     _graph,
-    _integer,
     _int_rows,
+    _length,
+    _require,
     _rows_graph,
     _strong_levels,
 )
@@ -241,6 +242,7 @@ def ck_k_groups(A):
     transition graph (see :func:`_core`), since the reduction keeps
     both groups.
     """
+    _require(A, TransitionMatrix, "A")
     core = _core({s: dict.fromkeys(A.followers(s), 1) for s in range(1, A.n + 1)})
     index = {v: i for i, v in enumerate(core)}
     n = len(index)
@@ -271,7 +273,7 @@ def dimension_report(M, levels):
     distinct row times the previous vector's total on its class.
     """
     rows = _int_rows(M)
-    levels = _integer(levels, "levels", 1)
+    levels = _length(levels, "levels", 1)
     size = len(rows)
     if not rows:
         raise ValueError("need a nonempty square matrix")
@@ -333,8 +335,9 @@ def perron_value(M):
     ``RuntimeError``, as the Smith form's self-check does.
 
     *Rounding.*  Every half-way point of ``round(., d)`` for d <= 12 is a
-    multiple of 1/(2 * 10^12).  Where such a multiple r lies inside the
-    bracket, (rI - A) y = 1 is solved exactly in ``Fraction``s by the
+    multiple of 1/(2 * 10^12).  A bracket of one point is rho itself,
+    returned as its nearest float.  Where such a multiple r lies inside a
+    wider bracket, (rI - A) y = 1 is solved exactly in ``Fraction``s by the
     same routine: y > 0 iff rho < r, and a last pivot 0 iff rho = r, an
     integer, returned exactly.  Else the value is put strictly on rho's
     side of every multiple, so ``round(value, d)`` is rho's correct
@@ -346,7 +349,8 @@ def perron_value(M):
     or one predecessor costs no fill, so a 3,000-state tower takes a
     fraction of a second.  A dense n x n input costs O(n^3) dictionary
     arithmetic per step, about 0.1 s in all at n = 80.  The exact solves
-    run only when the bracket holds a multiple of 1/(2 * 10^12).
+    run only when the bracket is wider than one point and holds a multiple
+    of 1/(2 * 10^12).
 
     Examples
     --------
@@ -453,9 +457,12 @@ _HALF = Fraction(1, 2 * 10**12)  # the half-way points of round(., d <= 12) are 
 def _rounded(succ, lo, hi):
     """A float for rho in [lo, hi], strictly on rho's side of every multiple of _HALF.
 
-    The multiples in the bracket are decided exactly by bisection: rho < r
-    iff (rI - A) y = 1 has a positive solution, rho = r iff it answers 0.
+    A bracket of one point is rho itself, by Collatz-Wielandt.  Else the
+    multiples in the bracket are decided exactly by bisection: rho < r iff
+    (rI - A) y = 1 has a positive solution, rho = r iff it answers 0.
     """
+    if lo == hi:
+        return float(lo)
     a, b = ceil(lo / _HALF) - 1, floor(hi / _HALF)
     pivots = _pivots(succ) if a < b else None
     while a < b:

@@ -22,6 +22,8 @@ from .sft import (
     _integer,
     _integers,
     _list_words,
+    _require,
+    _tuple,
     enumerate_words,
 )
 
@@ -60,10 +62,10 @@ class LocFun:
     table : dict
         Total mapping from every admissible `depth`-word to an integer.
 
-    The constructor checks tables from outside the package: the depth
-    and every value must be genuine integers, and anything else is
-    refused with a ``ValueError`` naming it, and so is a table whose keys
-    are not exactly the admissible words.  A function the package derives
+    The constructor checks tables from outside the package: the table
+    must be a dict, the depth and every value genuine integers, and
+    anything else is refused with a ``ValueError`` naming it, and so is a
+    table whose keys are not exactly the admissible words.  A function the package derives
     from ones it holds (sums, shifts, indicators, coboundaries,
     transfers) is tabulated once over the admissible words, unchecked.
     Either way the table is normalized to the minimal depth representing
@@ -78,10 +80,9 @@ class LocFun:
     """
 
     def __init__(self, matrix, depth, table):
-        if not isinstance(matrix, TransitionMatrix):
-            raise ValueError("matrix must be a TransitionMatrix")
+        _require(matrix, TransitionMatrix, "matrix")
         depth = _integer(depth, "depth", 1)
-        words, values = _table_values(matrix, depth, table, "table")
+        words, values = _table_values(matrix, depth, _require(table, dict, "table"), "table")
         values = _integers(values, lambda i: "value on the word %s" % _excerpt(words[i]))
         depth, cleaned = _normalize(depth, dict(zip(words, values)))
         self.matrix = matrix
@@ -107,12 +108,13 @@ class LocFun:
 
     @classmethod
     def constant(cls, matrix, value):
+        _require(matrix, TransitionMatrix, "matrix")
         return cls(matrix, 1, {(i,): value for i in range(1, matrix.n + 1)})
 
     @classmethod
     def indicator_cylinder(cls, matrix, mu):
         """The indicator of the cylinder set of the word `mu`."""
-        mu = matrix.check_word(mu)
+        mu = _require(matrix, TransitionMatrix, "matrix").check_word(mu)
         if not mu:
             return cls.constant(matrix, 1)
         return cls._tabulate(matrix, len(mu), lambda w: 1 if w == mu else 0)
@@ -207,23 +209,21 @@ class LocFun:
         }
 
 
-def _check_shift(A, f, z=None):
-    """Refuse an A, f or z of the wrong type, or an f or z off the shift A."""
-    if not isinstance(A, TransitionMatrix):
-        raise ValueError("A must be a TransitionMatrix")
-    if not isinstance(f, LocFun):
-        raise ValueError("f must be a LocFun")
+def _check_shift(A, f, *points):
+    """Refuse an A, f or point z of the wrong type, or an f or z off the shift A."""
+    # Once per membership split: the gate is called on a miss only.
+    if not (isinstance(A, TransitionMatrix) and isinstance(f, LocFun)):
+        _require(A, TransitionMatrix, "A")
+        _require(f, LocFun, "f")
     if not A.same_matrix(f.matrix):
         raise ValueError("f must live on the shift A")
-    if z is not None:
+    for z in points:
         _check_point(A, z)
 
 
 def _check_point(A, z):
     """Refuse a z that is not a point of the shift A."""
-    if not isinstance(z, PointSpec):
-        raise ValueError("z must be a PointSpec")
-    if not A.same_matrix(z.matrix):
+    if not A.same_matrix(_require(z, PointSpec, "z").matrix):
         raise ValueError("z must be a point of the shift A")
 
 
@@ -274,7 +274,7 @@ def _normalize(depth, table):
 
 def make_chi_H(A, H):
     """The depth-1 indicator of the symbol set H (1 on H, 0 elsewhere)."""
-    H = A.check_symbols(H)
+    H = _require(A, TransitionMatrix, "A").check_symbols(H)
     return LocFun._tabulate(A, 1, lambda w: 1 if w[0] in H else 0)
 
 
@@ -293,8 +293,7 @@ def cocycle_sum(f, word, n):
     >>> cocycle_sum(f, (1, 1, 2, 1, 1), 3)
     1
     """
-    if not isinstance(f, LocFun):
-        raise ValueError("f must be a LocFun")
+    _require(f, LocFun, "f")
     n = _integer(n, "n", 0)
     word = f.matrix.check_word(word)
     if n == 0:
@@ -317,7 +316,7 @@ def _window_sum(f, word, n):
 
 def coboundary_transform(b):
     """The unit coboundary 1 - b + b(sigma .) attached to the potential b."""
-    K, table = b.depth, b.table
+    K, table = _require(b, LocFun, "b").depth, b.table
     return LocFun._tabulate(b.matrix, K + 1, lambda w: 1 - table[w[:K]] + table[w[1:]])
 
 
@@ -337,11 +336,10 @@ class BlockCode:
     """
 
     def __init__(self, source, target, window, table):
-        for matrix, name in ((source, "source"), (target, "target")):
-            if not isinstance(matrix, TransitionMatrix):
-                raise ValueError("%s must be a TransitionMatrix" % name)
+        _require(source, TransitionMatrix, "source")
+        _require(target, TransitionMatrix, "target")
         window = _integer(window, "window", 1)
-        words, values = _table_values(source, window, table, "code table")
+        words, values = _table_values(source, window, _require(table, dict, "table"), "code table")
         values = _integers(
             values, lambda i: "code value on the source word %s" % _excerpt(words[i])
         )
@@ -386,12 +384,8 @@ class FullGroupElement:
     """
 
     def __init__(self, matrix, rules):
-        if not isinstance(matrix, TransitionMatrix):
-            raise ValueError("matrix must be a TransitionMatrix")
-        try:
-            rules = iter(rules)
-        except TypeError:
-            raise ValueError("rules must be an iterable, not %s" % _excerpt(rules)) from None
+        _require(matrix, TransitionMatrix, "matrix")
+        rules = _tuple(rules, "rules")
         self.matrix = matrix
         self.source = matrix
         self.target = matrix
@@ -602,10 +596,10 @@ def psi_transfer(g, h, k1, l1):
     if not isinstance(h, (BlockCode, FullGroupElement)):
         raise TypeError("h must be a BlockCode or a FullGroupElement")
     A = h.source
-    if not g.matrix.same_matrix(h.target):
+    if not _require(g, LocFun, "g").matrix.same_matrix(h.target):
         raise ValueError("g must live on the target shift of h")
     for fn, name in ((k1, "k1"), (l1, "l1")):
-        if not fn.matrix.same_matrix(A):
+        if not _require(fn, LocFun, name).matrix.same_matrix(A):
             raise ValueError("%s must live on the source shift of h" % name)
         if fn.min_value() < 0:
             raise ValueError("%s must take nonnegative values" % name)

@@ -73,6 +73,52 @@ def _integer(value, name, least=None):
     return int(value)
 
 
+def _require(value, kind, name):
+    """`value`, if it is a `kind`; else a ``ValueError`` naming it.
+
+    This is the package's one type gate: every public function and
+    constructor passes each argument that must be one of the package's
+    objects (a matrix, function, point, bisection, code or tower) through
+    it at entry, before any attribute is read, so a value of the wrong
+    type is refused as "<name> must be a <Kind>" instead of failing on an
+    attribute it lacks.  The few entries called once per product or split
+    test ``isinstance`` inline and call it on a miss only.
+    """
+    if isinstance(value, kind):
+        return value
+    raise ValueError("%s must be a %s" % (name, kind.__name__))
+
+
+def _tuple(values, name):
+    """`values` as a tuple; a value that is not iterable is refused by name.
+
+    The gate of every word, symbol set and list argument.  A ``TypeError``
+    raised while iterating an iterable is passed on as it is.
+    """
+    try:
+        return tuple(values)
+    except TypeError:
+        try:
+            iter(values)
+        except TypeError:
+            raise ValueError("%s must be an iterable, not %s" % (name, _excerpt(values))) from None
+        raise
+
+
+def _length(value, name, least):
+    """:func:`_integer` of `value` with the floor `least`, and at most ``sys.maxsize``.
+
+    The gate of a count that sets the size of what a call builds: a
+    word's length, a number of levels or of search steps.  No sequence is
+    longer than ``sys.maxsize``, so a larger count is refused by name at
+    once, where it would fail on an index or run until memory ran out.
+    """
+    value = _integer(value, name, least)
+    if value > maxsize:
+        raise ValueError("%s must be at most %d, not %s" % (name, maxsize, _excerpt(value)))
+    return value
+
+
 _EXCERPT = 60
 
 
@@ -82,7 +128,8 @@ def _excerpt(value):
     A refusal quotes the value it refuses, which may come from a file of
     any size; the excerpt keeps the message to one short line.  Python
     refuses to print an int of more than 4,300 digits, also inside a
-    tuple or list; such a value is quoted by its size instead.
+    tuple or list; such a value is quoted by its size instead.  A value
+    nested too deeply for ``repr`` is quoted by its type.
     """
     try:
         text = repr(value)
@@ -91,6 +138,8 @@ def _excerpt(value):
             sign = "a negative" if value < 0 else "an"
             return "<%s integer of %d bits>" % (sign, value.bit_length())
         return "<a %s holding an integer too long to print>" % type(value).__name__
+    except RecursionError:
+        return "<a %s nested too deeply to print>" % type(value).__name__
     if len(text) <= _EXCERPT:
         return text
     return "%s... (%d characters, cut)" % (text[:_EXCERPT], len(text))
@@ -285,7 +334,10 @@ class TransitionMatrix:
         each tuple must be strictly ascending and in range.  The same
         validation as for a dense matrix applies.
         """
-        followers = tuple(tuple(fol) for fol in followers)
+        followers = tuple(
+            _tuple(fol, "followers of symbol %d" % i)
+            for i, fol in enumerate(_tuple(followers, "followers"), 1)
+        )
         n = len(followers)
         for i, fol in enumerate(followers, 1):
             if not all(type(j) is int and 1 <= j <= n for j in fol) or any(
@@ -385,14 +437,15 @@ class TransitionMatrix:
         return True
 
     def check_word(self, word):
-        word = tuple(word)
+        if type(word) is not tuple:
+            word = _tuple(word, "word")
         if not self.is_admissible(word):
             raise ValueError("word %s is not admissible for this matrix" % _excerpt(word))
         return word
 
     def check_symbols(self, symbols):
         """The symbols as a frozenset, each an ``int`` (not a ``bool``) in 1..n."""
-        symbols = tuple(symbols)  # checked before a set could merge True into 1
+        symbols = _tuple(symbols, "symbols")  # checked before a set could merge True into 1
         for s in symbols:
             if not (type(s) is int and 1 <= s <= self.n):
                 raise ValueError("symbol %s out of range" % _excerpt(s))
@@ -434,7 +487,8 @@ def enumerate_words(A, m, after=None):
     >>> enumerate_words(A, 2, after=2)
     [(1, 1), (1, 2)]
     """
-    m = _integer(m, "m", 0)
+    _require(A, TransitionMatrix, "A")
+    m = _length(m, "m", 0)
     if after is not None:
         A.check_symbols((after,))
     if m == 0:
@@ -459,7 +513,8 @@ def higher_block(A, K):
     with the label table from new symbols to words.  ``K = 1`` returns
     `A` itself with identity labels.
     """
-    K = _integer(K, "K", 1)
+    _require(A, TransitionMatrix, "A")
+    K = _length(K, "K", 1)
     if K == 1:
         return A, tuple((i,) for i in range(1, A.n + 1))
     words = enumerate_words(A, K)
@@ -486,7 +541,7 @@ def has_cycle_within(A, symbols):
     start costs O(|S| + E) time and O(|S|) memory, E counting the edges
     leaving S, so the whole search is O(|S| * (|S| + E)) time.
     """
-    allowed = A.check_symbols(symbols)
+    allowed = _require(A, TransitionMatrix, "A").check_symbols(symbols)
     best = None
     for start in sorted(allowed):
         # Breadth-first order with ascending followers reaches every
@@ -534,7 +589,7 @@ class PointSpec:
     """
 
     def __init__(self, matrix, preperiod, period):
-        self.matrix = matrix
+        self.matrix = _require(matrix, TransitionMatrix, "matrix")
         self.preperiod = matrix.check_word(preperiod)
         self.period = matrix.check_word(period)
         if not self.period:
@@ -580,7 +635,7 @@ class PointSpec:
 
     def prepend(self, word):
         """The point `word` . self, validated at the splice."""
-        word = tuple(word)
+        word = _tuple(word, "word")
         return PointSpec(self.matrix, word + self.preperiod, self.period)
 
     def canonical(self):

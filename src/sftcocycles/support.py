@@ -16,7 +16,7 @@ The family is ordered lexicographically, which pins the matrix down up
 to the permutation relating it to any ad-hoc numbering.
 """
 
-from .sft import _integer, has_cycle_within
+from .sft import TransitionMatrix, _integer, _length, _require, _tuple, has_cycle_within
 
 __all__ = [
     "NotSaturatedError",
@@ -49,9 +49,16 @@ def is_saturated(A, H):
     :func:`has_cycle_within` produces that witness.  The empty set is
     never saturated for a valid matrix (a cycle always exists).
     """
-    H = A.check_symbols(H)
-    complement = set(range(1, A.n + 1)) - H
-    return has_cycle_within(A, complement) is None
+    return _avoiding_cycle(A, H)[1] is None
+
+
+def _avoiding_cycle(A, H):
+    """H checked as a symbol set, and the cycle of A inside its complement, or None.
+
+    The cycle is :func:`has_cycle_within`'s: the least of the shortest.
+    """
+    H = _require(A, TransitionMatrix, "A").check_symbols(H)
+    return H, has_cycle_within(A, set(range(1, A.n + 1)) - H)
 
 
 class SigmaFamily:
@@ -69,7 +76,7 @@ class SigmaFamily:
     def __init__(self, matrix, H, words):
         self.matrix = matrix
         self.H = H
-        self.words = tuple(words)
+        self.words = _tuple(words, "words")
 
     @property
     def size(self):
@@ -93,11 +100,9 @@ def sigma_family(A, H):
         If H is empty (the support algebra for the empty set is the full
         Cuntz-Krieger algebra, not an AF situation).
     """
-    H = A.check_symbols(H)
+    H, cycle = _avoiding_cycle(A, H)
     if not H:
         raise ValueError("empty symbol sets have no first-passage family")
-    complement = set(range(1, A.n + 1)) - H
-    cycle = has_cycle_within(A, complement)
     if cycle is not None:
         raise NotSaturatedError(
             "H=%r is not saturated: the cycle %r avoids it" % (sorted(H), cycle),
@@ -167,7 +172,7 @@ class CensusResult:
     def __init__(self, count, stabilized, by_length):
         self.count = count
         self.stabilized = stabilized
-        self.by_length = tuple(by_length)
+        self.by_length = _tuple(by_length, "by_length")
 
     def __repr__(self):
         return "CensusResult(count=%d, stabilized=%r)" % (self.count, self.stabilized)
@@ -182,8 +187,8 @@ def weight_word_census(A, H, n, len_cap):
     (N+1)(n+1) + 2 this window is conclusive, since in a saturated graph
     every longer word already exceeds the weight.
     """
-    H = A.check_symbols(H)
-    n, len_cap = _integer(n, "n", 1), _integer(len_cap, "len_cap", 1)
+    H = _require(A, TransitionMatrix, "A").check_symbols(H)
+    n, len_cap = _integer(n, "n", 1), _length(len_cap, "len_cap", 1)
     weight_cap = n + 1  # weights above n collapse into one bucket
     state = {}
     for i in range(1, A.n + 1):

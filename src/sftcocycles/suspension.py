@@ -15,7 +15,7 @@ two-sided infinite sequences; only this one-sided finite-window
 restriction is implemented, which is all the finite checks need.
 """
 
-from .sft import TransitionMatrix, _integers, higher_block
+from .sft import TransitionMatrix, _integers, _require, _tuple, higher_block
 from .locfun import LocFun, _check_shift
 
 __all__ = [
@@ -40,7 +40,10 @@ class SuspendedMatrix:
     __slots__ = ("base", "ceilings", "labels", "index", "matrix")
 
     def __init__(self, base, ceilings):
-        ceilings = tuple(_integers(ceilings, lambda j: "ceiling of symbol %d" % (j + 1)))
+        _require(base, TransitionMatrix, "base")
+        ceilings = tuple(
+            _integers(_tuple(ceilings, "ceilings"), lambda j: "ceiling of symbol %d" % (j + 1))
+        )
         if len(ceilings) != base.n:
             raise ValueError("need one ceiling per symbol")
         if any(c < 1 for c in ceilings):
@@ -85,7 +88,7 @@ def suspended_matrix(A, ceilings):
 
     A ceiling of all ones returns a relabeled copy of the base matrix.
     """
-    return SuspendedMatrix(A, ceilings)
+    return SuspendedMatrix(_require(A, TransitionMatrix, "A"), ceilings)
 
 
 def reduce_to_first_coordinate(A, f):
@@ -105,7 +108,7 @@ def reduce_to_first_coordinate(A, f):
 
 def encode_word(S, word):
     """Expand a base word into the suspended shift, tower by tower."""
-    word = S.base.check_word(word)
+    word = _require(S, SuspendedMatrix, "S").base.check_word(word)
     out = []
     for j in word:
         for t in range(S.ceilings[j - 1]):
@@ -121,7 +124,7 @@ def decode_return_times(S, word):
     window.  A window that never visits ground level determines no base
     symbol and is rejected.
     """
-    word = S.matrix.check_word(word)
+    word = _require(S, SuspendedMatrix, "S").matrix.check_word(word)
     if not word:
         raise ValueError("cannot decode an empty window")
     offset = S.label(word[0])[1]
@@ -143,7 +146,7 @@ def corner_partition_check(A, ceilings):
     its endpoints.  Always true for a correctly built suspension; False
     flags a construction bug.
     """
-    S = SuspendedMatrix(A, ceilings)
+    S = SuspendedMatrix(_require(A, TransitionMatrix, "A"), ceilings)
     M = S.matrix
     for j in range(1, A.n + 1):
         top = S.ceilings[j - 1] - 1
