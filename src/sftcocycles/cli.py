@@ -427,6 +427,9 @@ def main(argv=None):
     except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return VALIDATION_ERROR
+    except MemoryError:
+        print("error: not enough memory for this request", file=sys.stderr)
+        return VALIDATION_ERROR
 
 
 if __name__ == "__main__":

@@ -6,18 +6,19 @@ orbits vanish; for a depth-K function the periodic orbits are the
 directed cycles of the K-block graph.  Each call builds that graph once
 and never lists its cycles.  A potential propagated once over a spanning
 forest gives each edge a defect, and a cycle's sum is the sum of its
-defects.  Either every defect is 0, and so is every cycle sum, or
-min/max defect sums of the walks from the heads of nonzero defects, in
-Python integers on the same graph, find the shortest cycle with a
-nonzero sum, the certified witness.  The solver verifies every edge and
-the recomposed coboundary, so its answer is certified too.  The
-classifier finds the three special shapes (positive constants,
-symbol-set indicators, unit coboundaries) with that verified potential
-and no witness search.  :func:`cycle_sums` is a small capped report of
-every simple cycle; no decision relies on it.
+defects.  A cycle stays inside one strong component, so the decision
+gives each its own potential.  Either every defect inside is 0, and so
+is every cycle sum, or min/max defect sums of the walks from the heads
+of nonzero defects, in Python integers over the inside steps, find the
+shortest cycle with a nonzero sum, the certified witness.  The solver
+verifies every edge and the recomposed coboundary, so its answer is
+certified too.  The classifier finds the three special shapes (positive
+constants, symbol-set indicators, unit coboundaries) with that verified
+potential and no witness search.  :func:`cycle_sums` is a small capped
+report of every simple cycle; no decision relies on it.
 """
 
-from .sft import _excerpt, _integer, _tuple, higher_block
+from .sft import _components, _excerpt, _integer, _tuple, higher_block
 from .locfun import LocFun, _check_shift, coboundary_transform
 
 __all__ = [
@@ -90,15 +91,17 @@ def cycle_sums(A, g, cycle_cap=10**6):
     return out
 
 
-def _forest_potential(block, weights):
+def _forest_potential(block, weights, comp):
     """A potential over a spanning forest, and the heads of its misfits.
 
-    beta, listed like the weights, is propagated from the least vertex of
-    each weak component over a spanning tree (edges taken undirected, so
-    reducible matrices are covered too).  An edge u -> v has the defect
-    beta(u) + g(u) - beta(v), 0 on tree edges; a cycle's g-sum is the sum
-    of its defects.  ``heads`` lists, ascending, the positions of the
-    vertices that an edge of nonzero defect enters; none means beta fits.
+    beta, listed like the weights and their labels `comp`, is propagated
+    from the least vertex of each weak component of the edges inside a
+    label over a spanning tree (edges taken undirected).  An edge u -> v
+    has the defect beta(u) + g(u) - beta(v), 0 on tree edges; a cycle's
+    g-sum is the sum of its defects.  ``heads`` lists, ascending, the
+    positions of the vertices that an inside edge of nonzero defect
+    enters; none means beta fits (under strong components: every cycle
+    sums to 0).
     """
     beta = [None] * len(weights)
     for root in range(1, len(weights) + 1):  # one spanning tree per weak component
@@ -109,16 +112,17 @@ def _forest_potential(block, weights):
         while stack:
             a = stack.pop()
             for v in block.followers(a):
-                if beta[v - 1] is None:
+                if beta[v - 1] is None and comp[v - 1] == comp[a - 1]:
                     beta[v - 1] = beta[a - 1] + weights[a - 1]
                     stack.append(v)
             for u in block.predecessors(a):
-                if beta[u - 1] is None:
+                if beta[u - 1] is None and comp[u - 1] == comp[a - 1]:
                     beta[u - 1] = beta[a - 1] - weights[u - 1]
                     stack.append(u)
     heads = [
         v - 1 for v in range(1, len(weights) + 1)
-        if any(beta[u - 1] + weights[u - 1] != beta[v - 1] for u in block.predecessors(v))
+        if any(beta[u - 1] + weights[u - 1] != beta[v - 1] for u in block.predecessors(v)
+               if comp[u - 1] == comp[v - 1])
     ]
     return beta, heads
 
@@ -155,16 +159,18 @@ def shortest_nonzero_cycle(A, g):
     periodic orbit.  Ties are broken as in :func:`cycle_sums`: the
     witness is its first entry with a nonzero sum.
 
-    Every cycle with a nonzero sum enters a head of a nonzero defect of
-    the forest potential; no heads answers None in linear time.  A
-    shortest closed walk with nonzero sum is a simple cycle, since at a
-    repeated vertex it splits into two shorter closed walks, one of them
-    with nonzero sum.  So min/max defect sums of the walks from each head,
-    forward to the first length L with a nonzero closed walk and then L
-    steps back, fix the witness length L and its least vertex s; the
-    least cycle through s is then chosen edge by edge, keeping a nonzero
-    completion reachable.  This takes O(H * L * E) integer steps for H
-    heads and E edges, and O(L * V) memory on V vertices.
+    A cycle stays inside one strong component of the block graph, which
+    gets its own forest potential; a cycle with a nonzero sum enters a
+    head of a nonzero defect inside one, so no heads answers None in
+    linear time.  A shortest closed walk with nonzero sum is a simple
+    cycle, since at a repeated vertex it splits into two shorter closed
+    walks, one with nonzero sum.  So min/max defect sums of the walks from
+    each head over the inside steps, forward to the first length L with a
+    nonzero closed walk and then L steps back, fix the witness length L
+    and its least vertex s; the least cycle through s is then chosen edge
+    by edge, keeping a nonzero completion reachable.  This takes
+    O(H * L * E) integer steps for H heads and E edges, and O(L * V)
+    memory on V vertices.
 
     Examples
     --------
@@ -175,16 +181,19 @@ def shortest_nonzero_cycle(A, g):
     >>> shortest_nonzero_cycle(golden, LocFun.constant(golden, 0)) is None
     True
     """
-    block, labels, weights = _block_weights(A, g)
-    return _nonzero_cycle(block, labels, weights, *_forest_potential(block, weights))
+    return _nonzero_cycle(A, *_block_weights(A, g))
 
 
-def _nonzero_cycle(block, labels, w, beta, heads):
-    # The defect walk of shortest_nonzero_cycle on a built block graph.
+def _nonzero_cycle(A, block, labels, w, found=None):
+    # The defect walk of shortest_nonzero_cycle on a built block graph; an
+    # irreducible A has one strong block component, whose potential is `found`.
     n = len(labels)
-    follow = [
-        [(v - 1, beta[u] + w[u] - beta[v - 1]) for v in block.followers(u + 1)] for u in range(n)
-    ]
+    comp = [0] * n if A.irreducible else _components(n, block.followers)
+    beta, heads = found if found and A.irreducible else _forest_potential(block, w, comp)
+    if not heads:
+        return None
+    inside = [[v - 1 for v in block.followers(u + 1) if comp[v - 1] == comp[u]] for u in range(n)]
+    follow = [[(v, beta[u] + w[u] - beta[v]) for v in vs] for u, vs in enumerate(inside)]
     precede = [[] for _ in range(n)]
     for u, steps in enumerate(follow):
         for v, d in steps:
@@ -203,11 +212,6 @@ def _nonzero_cycle(block, labels, w, beta, heads):
             if v in back[length - i] and not (lo == hi and back[length - i][v] == (-lo, -lo))
         )
         best = min(best or (length, s), (length, s))
-    if best is None:
-        # Every cycle sums to 0.  A reducible graph can still misfit the
-        # potential: a tree that enters a strongly connected component
-        # through several edges can contradict edges inside it.
-        return None
     del back  # the last hit's levels, before those of the walk from s
     length, s = best
     cycle, total = [s], 0
@@ -226,9 +230,9 @@ def _nonzero_cycle(block, labels, w, beta, heads):
 def _potential(A, g):
     # (b, None) with b the verified potential of g, or (None, _nonzero_cycle's arguments).
     block, labels, weights = _block_weights(A, g)
-    beta, heads = _forest_potential(block, weights)
+    beta, heads = _forest_potential(block, weights, [0] * len(weights))
     if heads:
-        return None, (block, labels, weights, beta, heads)
+        return None, (A, block, labels, weights, (beta, heads))
     b = LocFun._from_table(A, g.depth, dict(zip(labels, beta)))
     if coboundary_transform(b) - 1 != g:
         raise RuntimeError("potential self-check failed: b(sigma .) - b != g")

@@ -21,6 +21,7 @@ from .sft import (
     _excerpt_ends,
     _integer,
     _integers,
+    _length,
     _list_words,
     _require,
     _tuple,
@@ -81,7 +82,7 @@ class LocFun:
 
     def __init__(self, matrix, depth, table):
         _require(matrix, TransitionMatrix, "matrix")
-        depth = _integer(depth, "depth", 1)
+        depth = _length(depth, "depth", 1)
         words, values = _table_values(matrix, depth, _require(table, dict, "table"), "table")
         values = _integers(values, lambda i: "value on the word %s" % _excerpt(words[i]))
         depth, cleaned = _normalize(depth, dict(zip(words, values)))
@@ -294,7 +295,7 @@ def cocycle_sum(f, word, n):
     1
     """
     _require(f, LocFun, "f")
-    n = _integer(n, "n", 0)
+    n = _length(n, "n", 0)
     word = f.matrix.check_word(word)
     if n == 0:
         return 0
@@ -338,7 +339,7 @@ class BlockCode:
     def __init__(self, source, target, window, table):
         _require(source, TransitionMatrix, "source")
         _require(target, TransitionMatrix, "target")
-        window = _integer(window, "window", 1)
+        window = _length(window, "window", 1)
         words, values = _table_values(source, window, _require(table, dict, "table"), "code table")
         values = _integers(
             values, lambda i: "code value on the source word %s" % _excerpt(words[i])

@@ -28,8 +28,9 @@ values are immutable after construction and all functions are pure, so
 concurrent use needs no coordination.
 """
 
+from collections import Counter
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
 from math import gcd
 from numbers import Integral
 from sys import maxsize
@@ -247,6 +248,39 @@ def _strong_levels(n, followers, predecessors):
     if len(level) < n or len(_bfs_levels(n, predecessors)) < n:
         return None
     return level
+
+
+def _components(n, followers):
+    """The strongly connected component of each symbol: s lies in ``comp[s - 1]``.
+
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972), iterative: it reads
+    each edge once through ``followers`` and needs no recursion.
+    """
+    comp, index, low, clock = [None] * n, [0] * n, [0] * n, count(1)
+    stack, label = [], 0
+    for root in range(1, n + 1):
+        work = [] if index[root - 1] else [(root, None)]
+        while work:
+            v, edges = work.pop()
+            if edges is None:  # v is entered
+                index[v - 1] = low[v - 1] = next(clock)
+                stack.append(v)
+                edges = iter(followers(v))
+            for w in edges:
+                if not index[w - 1]:
+                    work += [(v, edges), (w, None)]
+                    break
+                if comp[w - 1] is None:  # w is still on the stack
+                    low[v - 1] = min(low[v - 1], index[w - 1])
+            else:
+                if work:  # v's low passes to its parent
+                    u = work[-1][0]
+                    low[u - 1] = min(low[u - 1], low[v - 1])
+                if low[v - 1] == index[v - 1]:
+                    while comp[v - 1] is None:
+                        comp[stack.pop() - 1] = label
+                    label += 1
+    return comp
 
 
 def _period(followers, level):
@@ -537,13 +571,16 @@ def has_cycle_within(A, symbols):
     to first is admissible but not repeated.  Among the shortest cycles
     the answer has the least start, and among those it is
     lexicographically least.  The full symbol set always yields a cycle,
-    because a valid matrix has no zero row.  One breadth-first walk per
-    start costs O(|S| + E) time and O(|S|) memory, E counting the edges
-    leaving S, so the whole search is O(|S| * (|S| + E)) time.
+    because a valid matrix has no zero row.  Only a start whose strong
+    component in S has two symbols or a loop lies on a cycle: finding the
+    components takes O(n + E) time, E counting the edges leaving S, and
+    one breadth-first walk per such start O(|S| + E) time and O(|S|) memory.
     """
     allowed = _require(A, TransitionMatrix, "A").check_symbols(symbols)
+    comp = _components(A.n, lambda s: allowed.intersection(A.followers(s)) if s in allowed else ())
+    size = Counter(comp)
     best = None
-    for start in sorted(allowed):
+    for start in sorted(s for s in allowed if size[comp[s - 1]] > 1 or s in A.follower_set(s)):
         # Breadth-first order with ascending followers reaches every
         # symbol along its lexicographically least shortest path, so the
         # first symbol visited that closes up to start ends the least
@@ -607,7 +644,7 @@ class PointSpec:
     def window(self, offset, length):
         """The `length` symbols of the shifted point sigma^offset(.)."""
         offset = _integer(offset, "offset", 0)
-        length = _integer(length, "length", 0)
+        length = _length(length, "length", 0)
         pre, per = self.preperiod, self.period
         head = pre[offset : offset + length]
         need = length - len(head)

@@ -178,6 +178,9 @@ PROBES = {
             ("minimality_verdict", 2, "k_max"),
             ("weight_word_census", 3, "len_cap"),
             ("dimension_report", 1, "levels"),
+            ("LocFun", 1, "depth"),
+            ("BlockCode", 2, "window"),
+            ("cocycle_sum", 2, "n"),
         ]
     },
 }

@@ -257,6 +257,18 @@ def test_minimal_negative_bound_is_validation_error(files, capsys, bounds, point
     assert "nonnegative integer" in captured.err
 
 
+def test_out_of_memory_is_one_error_line(files, capsys):
+    # The search builds z's window of k_max + K symbols at once; this
+    # allocation fails at once with MemoryError.
+    code = main(
+        ["minimal", "--matrix", files["gm.json"], "--fn", files["one.json"]]
+        + ["--point", "2:1", "--mu", "1", "--k-max", str(10**18)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: not enough memory for this request\n"
+
+
 def test_coboundary_check_and_solve(files, capsys):
     code, doc = run(
         capsys,

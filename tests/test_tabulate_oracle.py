@@ -163,7 +163,7 @@ def reference_base_normalized(self):
 
 def reference_potential(A, g):
     block, labels, weights = _block_weights(A, g)
-    beta, heads = _forest_potential(block, weights)
+    beta, heads = _forest_potential(block, weights, [0] * len(weights))
     if heads:
         return None, (block, labels, weights)
     b = reference_base_normalized(LocFun(A, g.depth, dict(zip(labels, beta))))

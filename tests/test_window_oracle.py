@@ -9,6 +9,7 @@ same refusal where the earlier form refused.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -82,6 +83,15 @@ def test_windows_refuse_as_the_generator_form_did(offset, length):
     refused = outcome(lambda: z.window(offset, length))
     assert refused == outcome(lambda: reference_window(z, offset, length))
     assert refused[0] is ValueError
+
+
+def test_a_window_longer_than_any_sequence_is_refused_by_name():
+    z = PointSpec(TransitionMatrix(BASES["golden"]), (2,), (1,))
+    with pytest.raises(ValueError) as refused:
+        z.window(0, 10**5000)
+    assert str(refused.value) == (
+        "length must be at most %d, not <an integer of 16610 bits>" % sys.maxsize
+    )
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
