@@ -121,8 +121,8 @@ def _forest_potential(block, weights, comp):
                     stack.append(u)
     heads = [
         v - 1 for v in range(1, len(weights) + 1)
-        if any(beta[u - 1] + weights[u - 1] != beta[v - 1] for u in block.predecessors(v)
-               if comp[u - 1] == comp[v - 1])
+        if any(beta[u - 1] + weights[u - 1] != beta[v - 1] and comp[u - 1] == comp[v - 1]
+               for u in block.predecessors(v))
     ]
     return beta, heads
 

@@ -12,9 +12,9 @@ these.
 The matrix is kept as its transition graph: for every symbol, the
 ascending tuple of its followers and of its predecessors.  The flags
 are breadth-first searches over that graph, admissibility is a lookup
-in per-symbol follower sets.  ``entries``, the one place in the package
-that uses NumPy, builds a dense array on each read and stores none, so
-importing the package loads no NumPy.
+in per-symbol follower sets.  The package depends on nothing outside
+the standard library: a NumPy array from outside is read once into rows
+of Python ints, and no module imports NumPy.
 
 Each derived view of the shift comes from one routine: the predecessor
 tuples from the follower tuples (``TransitionMatrix._set_graph``), the
@@ -410,18 +410,14 @@ class TransitionMatrix:
 
     @property
     def entries(self):
-        """The dense 0/1 matrix as a new read-only int64 array, never stored.
+        """The matrix as ``tolist()`` gives it: new rows on each read, never stored.
 
-        The package itself reads the follower tuples or ``tolist()``.  The
-        one reader left is ``kgroups.random`` in ``perfbench/workloads.py``,
-        and it is the only reason ``numpy`` is still a runtime dependency:
-        this property and that dependency both go once the benchmark reads
-        ``perron_value(A)`` instead.
+        The package itself reads the follower tuples or ``tolist()``.  This
+        name stays only for the one reader left, ``kgroups.random`` in
+        ``perfbench/workloads.py``; ROADMAP item 2 switches that read to
+        ``perron_value(A)`` and deletes the name.
         """
-        import numpy as np
-        arr = np.array(self.tolist(), dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+        return self.tolist()
 
     @cached_property
     def irreducible(self):
@@ -563,6 +559,18 @@ def higher_block(A, K):
     return TransitionMatrix._from_graph(tuple(runs[w[1:]] for w in words)), tuple(words)
 
 
+def _cyclic(A, allowed):
+    """The symbols of the set `allowed` that lie on a cycle inside it, ascending.
+
+    A symbol does exactly when its strong component in the set has two
+    symbols or a loop; one pass of :func:`_components` finds them in
+    O(n + E) time, E counting the edges leaving the set.
+    """
+    comp = _components(A.n, lambda s: allowed.intersection(A.followers(s)) if s in allowed else ())
+    size = Counter(comp)
+    return sorted(s for s in allowed if size[comp[s - 1]] > 1 or s in A.follower_set(s))
+
+
 def has_cycle_within(A, symbols):
     """Search for a directed cycle staying inside the symbol set.
 
@@ -577,10 +585,8 @@ def has_cycle_within(A, symbols):
     one breadth-first walk per such start O(|S| + E) time and O(|S|) memory.
     """
     allowed = _require(A, TransitionMatrix, "A").check_symbols(symbols)
-    comp = _components(A.n, lambda s: allowed.intersection(A.followers(s)) if s in allowed else ())
-    size = Counter(comp)
     best = None
-    for start in sorted(s for s in allowed if size[comp[s - 1]] > 1 or s in A.follower_set(s)):
+    for start in _cyclic(A, allowed):
         # Breadth-first order with ascending followers reaches every
         # symbol along its lexicographically least shortest path, so the
         # first symbol visited that closes up to start ends the least

@@ -494,8 +494,8 @@ def test_import_does_not_load_networkx():
 
 
 def test_commands_without_a_dense_kernel_do_not_load_numpy(files, tmp_path):
-    # NumPy is imported only by the dense entries view; the K-groups and
-    # the Perron value of `ktheory` compute in Python numbers.
+    # No module of the package imports NumPy; the K-groups and the Perron
+    # value of `ktheory` compute in Python numbers.
     # b(sigma .) - b for b = chi_1 is a coboundary.
     cob = tmp_path / "chi1_cob.json"
     cob.write_text(json.dumps({"depth": 2, "values": {"1,1": 0, "1,2": -1, "2,1": 1, "2,2": 0}}))

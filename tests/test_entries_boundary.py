@@ -1,15 +1,13 @@
-"""No module of the package reads the dense ``entries`` array.
+"""No module of the package reads ``entries``.
 
-``TransitionMatrix.entries`` builds a new n x n int64 array on every
-read and never stores it: the follower tuples are the one graph a
-matrix keeps.  It stays public for callers that want an array, but the
-package itself reads the follower tuples or ``tolist()``.
+``TransitionMatrix.entries`` returns ``tolist()``, new rows of Python
+ints on every read, and never stores them: the follower tuples are the
+one graph a matrix keeps.  It stays only for the benchmark's one read;
+the package itself reads the follower tuples or ``tolist()``.
 """
 
 import ast
 from pathlib import Path
-
-import numpy as np
 
 import sftcocycles
 from sftcocycles import TransitionMatrix, perron_value
@@ -35,9 +33,13 @@ def test_perron_value_leaves_no_array_cached():
 
 
 def test_entries_is_a_new_read_only_array_never_stored():
+    # The rows are a new list on each read, of Python ints, and writing to
+    # them does not reach A.
     A = TransitionMatrix([[1, 1], [1, 0]])
-    arr = A.entries
-    assert np.array_equal(arr, np.array(A.tolist())) and arr.dtype == np.int64
-    assert not arr.flags.writeable
-    assert A.entries is not arr
+    rows = A.entries
+    assert rows == A.tolist() == [[1, 1], [1, 0]]
+    assert {type(v) for row in rows for v in row} == {int}
+    assert A.entries is not rows and A.entries[0] is not rows[0]
+    rows[0][0] = 0
+    assert A.entries == A.tolist() == [[1, 1], [1, 0]] and A.is_admissible((1, 1))
     assert "entries" not in vars(A)

@@ -69,6 +69,14 @@ def test_integer_arrays_read_as_python_ints():
     assert _int_rows(np.array([[1, 2], [0, 3]], dtype=object)) == [[1, 2], [0, 3]]
 
 
+def test_smith_form_reads_an_integer_array():
+    # Every public reader of outside matrices gets a real ndarray somewhere
+    # in the suite; this one is the Smith form's.
+    M = [[0, -1, 1], [2, 4, 0], [1, 1, -3]]
+    for dtype in (np.int32, np.int64, object):
+        assert smith_normal_form(np.array(M, dtype=dtype)) == smith_normal_form(M)
+
+
 GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
 READERS = {
     "bound": lambda v: _integer(v, "k_max", 0),
@@ -95,7 +103,7 @@ def test_an_array_is_known_by_its_dtype_kind():
 
 
 def test_perron_value_reads_once_and_refuses_cleanly(golden):
-    assert perron_value(golden) == perron_value(golden.entries)
+    assert perron_value(golden) == perron_value(np.array(golden.tolist()))
     with pytest.raises(ValueError, match="nonnegative"):
         perron_value([[1, -1], [1, 1]])
     with pytest.raises(ValueError, match="too large"):

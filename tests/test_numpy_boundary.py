@@ -1,14 +1,14 @@
-"""NumPy is imported only by the dense ``entries`` view.
+"""No module of the package imports NumPy.
 
 The shift is held as follower tuples and every matrix from outside is
-read into rows of Python ints, so no module imports NumPy at load time.
-One place imports it where it runs: the dense ``TransitionMatrix.entries``
-view, kept for callers that want an array.  The Perron value is a Noda
-iteration on the weighted graph in Python floats, certified in
-fractions, and the coboundary witness search walks its defect sums in
-Python integers.  This test keeps a second matrix representation from
-creeping back into the other modules, and keeps the graph readers, the
-K-theory core reduction and the Perron value in Python numbers.
+read into rows of Python ints, so the package depends on nothing outside
+the standard library: ``TransitionMatrix.entries`` is plain rows too.
+The Perron value is a Noda iteration on the weighted graph in Python
+floats, certified in fractions, and the coboundary witness search walks
+its defect sums in Python integers.  This test keeps a second matrix
+representation from creeping back into the package, and keeps the graph
+readers, the K-theory core reduction and the Perron value in Python
+numbers.  ``test_no_numpy_runtime`` runs the package with NumPy blocked.
 """
 
 import ast
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import sftcocycles
 
-ALLOWED = {("sft", "entries")}
+ALLOWED = set()
 
 
 def imports_numpy(node):
@@ -49,12 +49,16 @@ def package_numpy_importers():
 
 def test_numpy_is_imported_only_where_it_computes():
     assert package_numpy_importers() == ALLOWED
-    # The scan does see an import at the top level of a module.
+    # The scan does see an import at the top level of a module and in a function.
     assert numpy_importers(ast.parse("import numpy as np"), "m") == {("m", None)}
+    assert numpy_importers(ast.parse("def f():\n    from numpy import linalg\n"), "m") == {("m", "f")}
 
 
-def function_uses_np(module, name):
-    source = (Path(sftcocycles.__file__).parent / module).read_text()
+def source_of(module):
+    return (Path(sftcocycles.__file__).parent / module).read_text()
+
+
+def function_uses_np(source, name):
     func = next(
         node for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.FunctionDef) and node.name == name
@@ -63,11 +67,12 @@ def function_uses_np(module, name):
 
 
 def test_graph_reads_rows_without_numpy():
-    assert not function_uses_np("sft.py", "_graph")
-    assert not function_uses_np("sft.py", "_rows_graph")
+    assert not function_uses_np(source_of("sft.py"), "_graph")
+    assert not function_uses_np(source_of("sft.py"), "_rows_graph")
 
 
 def test_core_reduces_without_numpy():
     # The reduction before the Smith form stays in exact Python integers.
-    assert not function_uses_np("ktheory.py", "_core")
-    assert function_uses_np("sft.py", "entries")  # the scan does see np
+    assert not function_uses_np(source_of("ktheory.py"), "_core")
+    # The scan does see np in a function body.
+    assert function_uses_np("def f(M):\n    return np.asarray(M)\n", "f")

@@ -97,15 +97,15 @@ def test_higher_block_identity_and_golden(golden):
 def test_higher_block_full_shift(full2):
     block, labels = higher_block(full2, 2)
     assert len(labels) == 4
-    assert all(row.sum() == 2 for row in block.entries)
+    assert all(row.sum() == 2 for row in np.array(block.tolist()))
 
 
 def test_higher_block_preserves_perron(golden, full2, zero_diag3):
     for A in (golden, full2, zero_diag3):
-        base = max(np.linalg.eigvals(A.entries.astype(float)).real)
+        base = max(np.linalg.eigvals(np.array(A.tolist(), dtype=float)).real)
         for K in (1, 2, 3):
             block, _ = higher_block(A, K)
-            lam = max(np.linalg.eigvals(block.entries.astype(float)).real)
+            lam = max(np.linalg.eigvals(np.array(block.tolist(), dtype=float)).real)
             assert abs(lam - base) < 1e-9
 
 
@@ -121,7 +121,7 @@ def test_has_cycle_full_set_always_found(golden, full2, zero_diag3):
         cycle = has_cycle_within(A, set(range(1, A.n + 1)))
         assert cycle is not None
         assert A.is_admissible(cycle)
-        assert A.entries[cycle[-1] - 1, cycle[0] - 1] == 1
+        assert A.tolist()[cycle[-1] - 1][cycle[0] - 1] == 1
 
 
 def test_cycle_witness_is_shortest_lex(zero_diag3):

@@ -168,11 +168,11 @@ def test_level_dimensions_full_H(golden, zero_diag3):
     for A in (golden, zero_diag3):
         H = set(range(1, A.n + 1))
         vectors = level_vectors(A, H, 4)
-        vec = [1] * A.n
+        vec, rows = [1] * A.n, A.tolist()
         for level in range(1, 5):
             assert vectors[level - 1] == vec
             vec = [
-                sum(int(A.entries[r, c]) * vec[r] for r in range(A.n))
+                sum(rows[r][c] * vec[r] for r in range(A.n))
                 for c in range(A.n)
             ]
 
