@@ -327,7 +327,12 @@ class MinimalityWitness:
         return "MinimalityWitness(x=%r, k=%d, l=%d)" % (self.x, self.k, self.l)
 
 
-def minimality_search(A, f, z, mu, k_max=24, value_max=64):
+# The default search bounds of minimality_search and minimality_verdict
+# (and of the CLI's --k-max and --value-max).
+_K_MAX, _VALUE_MAX = 24, 64
+
+
+def minimality_search(A, f, z, mu, k_max=_K_MAX, value_max=_VALUE_MAX):
     """Breadth-first search for a witness connecting U_mu to the orbit of z.
 
     Explores candidate points x = p . sigma^l(z) over paths p and splice
@@ -486,7 +491,7 @@ def _sample_grid(A, size):
     return zs, mus
 
 
-def minimality_verdict(A, f, k_max=24, value_max=64):
+def minimality_verdict(A, f, k_max=_K_MAX, value_max=_VALUE_MAX):
     """Decide minimality of the potential f, exactly where a class applies.
 
     Exact verdicts: the zero potential is minimal over an irreducible

@@ -122,12 +122,16 @@ class LocFun:
 
     def value_on(self, word):
         """The constant value on the cylinder of `word` (len >= depth)."""
-        if len(word) < self.depth:
-            raise ValueError(
-                "word of length %d does not determine a depth-%d function"
-                % (len(word), self.depth)
-            )
-        return self.table[tuple(word[: self.depth])]
+        try:
+            if len(word) >= self.depth:
+                return self.table[tuple(word[: self.depth])]
+        except (TypeError, KeyError):
+            # Not a word, or one that is not admissible: refuse it by name.
+            self.matrix.check_word(word)
+            raise
+        raise ValueError(
+            "word of length %d does not determine a depth-%d function" % (len(word), self.depth)
+        )
 
     def eval_point(self, point, offset=0):
         """Value of the function at sigma^offset of an eventually periodic point."""

@@ -15,7 +15,7 @@ two-sided infinite sequences; only this one-sided finite-window
 restriction is implemented, which is all the finite checks need.
 """
 
-from .sft import TransitionMatrix, _integers, _require, _tuple, higher_block
+from .sft import TransitionMatrix, _excerpt, _integers, _require, _tuple, higher_block
 from .locfun import LocFun, _check_shift
 
 __all__ = [
@@ -71,10 +71,16 @@ class SuspendedMatrix:
 
     def symbol_of(self, j, t):
         """The 1-based suspended symbol for tower j, level t."""
-        return self.index[(j, t)] + 1
+        try:
+            return self.index[(j, t)] + 1
+        except (KeyError, TypeError):
+            raise ValueError("no tower level (j, t) = %s" % _excerpt((j, t))) from None
 
     def label(self, symbol):
-        return self.labels[symbol - 1]
+        """The (tower j, level t) of a 1-based suspended symbol."""
+        if type(symbol) is int and 0 < symbol <= len(self.labels):
+            return self.labels[symbol - 1]
+        raise ValueError("symbol %s out of range" % _excerpt(symbol))
 
     def label_strings(self):
         return ["%d_%d" % lab for lab in self.labels]
@@ -127,8 +133,9 @@ def decode_return_times(S, word):
     word = _require(S, SuspendedMatrix, "S").matrix.check_word(word)
     if not word:
         raise ValueError("cannot decode an empty window")
-    offset = S.label(word[0])[1]
-    decoded = tuple(S.label(s)[0] for s in word if S.label(s)[1] == 0)
+    labels = S.labels  # the word is checked: its symbols index them
+    offset = labels[word[0] - 1][1]
+    decoded = tuple(labels[s - 1][0] for s in word if labels[s - 1][1] == 0)
     if not decoded:
         raise ValueError("window contains no ground-level visit")
     return decoded, offset

@@ -1,3 +1,4 @@
+import inspect
 import io
 import itertools
 import json
@@ -10,7 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sftcocycles.cli import main
+from sftcocycles import minimality_search, minimality_verdict
+from sftcocycles.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -269,6 +271,20 @@ def test_out_of_memory_is_one_error_line(files, capsys):
     assert captured.err == "error: not enough memory for this request\n"
 
 
+def test_out_of_memory_while_writing_is_one_error_line(files, capsys, monkeypatch):
+    # The answer is formatted before anything is written: a MemoryError
+    # there leaves stdout empty.
+    def dumps(doc, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    code = main(["validate", "--matrix", files["gm.json"]])
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: not enough memory for this request\n"
+
+
 def test_coboundary_check_and_solve(files, capsys):
     code, doc = run(
         capsys,
@@ -403,6 +419,40 @@ def test_inclusion_matrix_levels_below_one_is_validation_error(files, capsys, le
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "--levels must be at least 1" in captured.err
+
+
+def test_levels_are_checked_before_the_matrix_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code = main(["inclusion-matrix", "--matrix", missing, "--H", "1", "--levels", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --levels must be at least 1, not 0\n"
+
+
+def test_split_refuses_the_matrix_then_the_function_then_the_words(files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"matrix": [[1, 1], [1')
+    mu = ["--mu", "x", "--nu", "1"]
+    code = main(["split", "--matrix", str(bad), "--fn", str(bad)] + mu)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: Expecting") and "word" not in captured.err
+    bad.write_text('{"depth": 1}')
+    code = main(["split", "--matrix", files["gm.json"], "--fn", str(bad)] + mu)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: function file needs 'depth' and 'values'\n"
+    code = main(["split", "--matrix", files["gm.json"], "--fn", files["f21.json"]] + mu)
+    assert code == 2 and "word 'x'" in capsys.readouterr().err
+
+
+def test_search_bounds_default_to_the_library_bounds():
+    bounds = {"k_max": 24, "value_max": 64}
+    for fn in (minimality_search, minimality_verdict):
+        params = inspect.signature(fn).parameters
+        assert {name: params[name].default for name in bounds} == bounds
+    args = _build_parser().parse_args(["minimal", "--matrix", "m", "--fn", "f"])
+    assert {name: getattr(args, name) for name in bounds} == bounds
 
 
 def test_ktheory_cli(files, capsys):

@@ -150,6 +150,23 @@ def test_eval_point_refuses_a_negative_offset(golden):
         LocFun.constant(golden, 4).eval_point(p, -1)
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ((2, 2), r"word \(2, 2\) is not admissible"),
+        ((2, 2, 1), r"word \(2, 2, 1\) is not admissible"),
+        ((1, 3), r"word \(1, 3\) is not admissible"),
+        (5, "word must be an iterable, not 5"),
+        ((1,), "word of length 1 does not determine a depth-2 function"),
+    ],
+)
+def test_value_on_refuses_a_word_by_name(golden, word, message):
+    f = LocFun(golden, 2, {(1, 1): 5, (1, 2): 7, (2, 1): -2})
+    with pytest.raises(ValueError, match=message):
+        f.value_on(word)
+    assert f.value_on([1, 2, 1]) == 7 and f.value_on((2, 1)) == -2
+
+
 def test_locfun_arithmetic(golden):
     f = make_chi_H(golden, {1})
     g = LocFun(golden, 2, {(1, 1): 1, (1, 2): 2, (2, 1): 3})

@@ -109,6 +109,26 @@ def test_decode_examples(golden):
         decode_return_times(S, (s(1, 1),))
 
 
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        (lambda S: S.label(0), "symbol 0 out of range"),
+        (lambda S: S.label(4), "symbol 4 out of range"),
+        (lambda S: S.label(True), "symbol True out of range"),
+        (lambda S: S.label(1.0), r"symbol 1\.0 out of range"),
+        (lambda S: S.symbol_of(1, 5), r"no tower level \(j, t\) = \(1, 5\)"),
+        (lambda S: S.symbol_of(3, 0), r"no tower level \(j, t\) = \(3, 0\)"),
+        (lambda S: S.symbol_of([1], 0), r"no tower level \(j, t\) = \(\[1\], 0\)"),
+    ],
+)
+def test_tower_lookups_refuse_by_name(golden, lookup, message):
+    S = suspended_matrix(golden, (1, 2))
+    with pytest.raises(ValueError, match=message):
+        lookup(S)
+    assert [S.label(s) for s in (1, 2, 3)] == [(1, 0), (2, 0), (2, 1)]
+    assert [S.symbol_of(j, t) for j, t in S.labels] == [1, 2, 3]
+
+
 def test_encode_decode_round_trip(golden, full2):
     for A, ceilings in ((golden, (2, 1)), (full2, (2, 2)), (golden, (3, 2))):
         S = suspended_matrix(A, ceilings)
