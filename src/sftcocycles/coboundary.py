@@ -18,7 +18,7 @@ potential and no witness search.  :func:`cycle_sums` is a small capped
 report of every simple cycle; no decision relies on it.
 """
 
-from .sft import _components, _excerpt, _integer, _tuple, higher_block
+from .sft import _components, _excerpt, _graph, _integer, _tuple, higher_block
 from .locfun import LocFun, _check_shift, coboundary_transform
 
 __all__ = [
@@ -68,7 +68,7 @@ def cycle_sums(A, g, cycle_cap=10**6):
     out = []
     for root in range(1, len(labels) + 1):
         path, on_path = [root], {root}
-        stack = [iter(block.followers(root))]
+        stack = [iter(block._followers[root - 1])]
         while stack:
             for v in stack[-1]:
                 if v == root:
@@ -82,7 +82,7 @@ def cycle_sums(A, g, cycle_cap=10**6):
                 elif v > root and v not in on_path:
                     path.append(v)
                     on_path.add(v)
-                    stack.append(iter(block.followers(v)))
+                    stack.append(iter(block._followers[v - 1]))
                     break
             else:
                 stack.pop()
@@ -111,18 +111,18 @@ def _forest_potential(block, weights, comp):
         stack = [root]
         while stack:
             a = stack.pop()
-            for v in block.followers(a):
+            for v in block._followers[a - 1]:
                 if beta[v - 1] is None and comp[v - 1] == comp[a - 1]:
                     beta[v - 1] = beta[a - 1] + weights[a - 1]
                     stack.append(v)
-            for u in block.predecessors(a):
+            for u in block._predecessors[a - 1]:
                 if beta[u - 1] is None and comp[u - 1] == comp[a - 1]:
                     beta[u - 1] = beta[a - 1] - weights[u - 1]
                     stack.append(u)
     heads = [
         v - 1 for v in range(1, len(weights) + 1)
         if any(beta[u - 1] + weights[u - 1] != beta[v - 1] and comp[u - 1] == comp[v - 1]
-               for u in block.predecessors(v))
+               for u in block._predecessors[v - 1])
     ]
     return beta, heads
 
@@ -188,11 +188,11 @@ def _nonzero_cycle(A, block, labels, w, found=None):
     # The defect walk of shortest_nonzero_cycle on a built block graph; an
     # irreducible A has one strong block component, whose potential is `found`.
     n = len(labels)
-    comp = [0] * n if A.irreducible else _components(n, block.followers)
+    comp = [0] * n if A.irreducible else _components(n, _graph(block)[1])
     beta, heads = found if found and A.irreducible else _forest_potential(block, w, comp)
     if not heads:
         return None
-    inside = [[v - 1 for v in block.followers(u + 1) if comp[v - 1] == comp[u]] for u in range(n)]
+    inside = [[v - 1 for v in block._followers[u] if comp[v - 1] == comp[u]] for u in range(n)]
     follow = [[(v, beta[u] + w[u] - beta[v]) for v in vs] for u, vs in enumerate(inside)]
     precede = [[] for _ in range(n)]
     for u, steps in enumerate(follow):

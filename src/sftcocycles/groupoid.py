@@ -16,7 +16,7 @@ partition, and the fixed-generator predicate, expectation support,
 and minimality search are built on top of it.
 """
 
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 
 from .sft import (
     PointSpec,
@@ -228,7 +228,7 @@ def _split(A, f, mu, nu):
     # The boundary windows start in these suffixes (the whole word when
     # it is shorter than K - 1).
     s_mu, s_nu = mu[max(0, len(mu) - K + 1) :], nu[max(0, len(nu) - K + 1) :]
-    tails = _list_words(A, A.followers(mu[-1]), K - 1) if K > 1 else [()]
+    tails = _list_words(A, A._followers[mu[-1] - 1], K - 1) if K > 1 else [()]
     pieces = []
     for w in tails:
         # End-matched as (mu, nu) is: built as _end_matched builds it.
@@ -309,9 +309,10 @@ class MinimalityWitness:
             return False
         if self.x.shift(self.k) != z.shift(self.l):
             return False
-        K = f.depth
-        fk = _window_sum(f, self.x.window(0, self.k + K - 1), self.k)
-        return fk == _window_sum(f, z.window(0, self.l + K - 1), self.l)
+        K, k, l = f.depth, self.k, self.l
+        # An empty sum is 0 without reading a window.
+        fk = _window_sum(f, self.x.window(0, k + K - 1), k) if k else 0
+        return fk == (_window_sum(f, z.window(0, l + K - 1), l) if l else 0)
 
     def as_dict(self):
         return {
@@ -365,20 +366,13 @@ def minimality_search(A, f, z, mu, k_max=_K_MAX, value_max=_VALUE_MAX):
     if not mu:
         raise ValueError("mu must be nonempty")
     m, K = len(mu), f.depth
-    table = f.table
-    max_abs = max(abs(v) for v in table.values())
-    budget = value_max + (K - 1) * max_abs
+    table, fol, sets = f.table, A._followers, A._follower_sets
+    budget = value_max + (K - 1) * max(map(abs, table.values()))
 
     # Every symbol of z that a splice at l <= k_max reads, and the sums
-    # fz[l] = f^l(z).
+    # fz[l] = f^l(z), summed as far as the splices read them.
     z_prefix = f.matrix.check_word(z.window(0, k_max + max(K, m)))
-    fz = list(accumulate((table[z_prefix[l : l + K]] for l in range(k_max)), initial=0))
-
-    def build(p, l):
-        witness = MinimalityWitness(z.shift(l).prepend(p), len(p), l)
-        if not witness.verify(A, f, z, mu):
-            raise RuntimeError("minimality witness %r failed verification" % (witness,))
-        return witness
+    fz = [0]
 
     suffix_len = max(1, K - 1)
     frontier = {((), 0): ()}
@@ -386,25 +380,31 @@ def minimality_search(A, f, z, mu, k_max=_K_MAX, value_max=_VALUE_MAX):
         forced, rest = k < m, mu[k:]
         suffixes = {suffix for suffix, _ in frontier}
         for l in range(k_max + 1):
-            if abs(fz[l]) > value_max:
+            if not k and l:  # the first level reads each l first
+                fz.append(fz[-1] + table[z_prefix[l - 1 : l - 1 + K]])
+            target = fz[l]
+            if abs(target) > value_max:
                 continue
             # Below |mu| z must supply mu[k:], which makes the junction admissible.
             if forced and z_prefix[l : l + m - k] != rest:
                 continue
-            head = z_prefix[l]
+            head, read = z_prefix[l], z_prefix[l : l + K]
             found = []
             for suffix in suffixes:
-                if not forced and head not in A.follower_set(suffix[-1]):
+                if not forced and head not in sets[suffix[-1] - 1]:
                     continue
-                # With K = 1 the suffix's own window is already in the sum.
-                boundary = (
-                    _window_sum(f, suffix + z_prefix[l : l + K], len(suffix)) if K > 1 else 0
-                )
-                p = frontier.get((suffix, fz[l] - boundary))
+                # With K = 1 the suffix's own window is already in the sum,
+                # and the empty suffix of k = 0 has no window.
+                boundary = _window_sum(f, suffix + read, len(suffix)) if K > 1 and suffix else 0
+                p = frontier.get((suffix, target - boundary))
                 if p is not None:
                     found.append(p)
             if found:
-                return build(min(found), l)
+                p = min(found)
+                witness = MinimalityWitness(z.shift(l).prepend(p), len(p), l)
+                if not witness.verify(A, f, z, mu):
+                    raise RuntimeError("minimality witness %r failed verification" % (witness,))
+                return witness
         if k == k_max:
             break
         # The frontier iterates in ascending path order: paths are
@@ -412,13 +412,13 @@ def minimality_search(A, f, z, mu, k_max=_K_MAX, value_max=_VALUE_MAX):
         # path to reach a state, the one kept, is its least.
         nxt = {}
         for (suffix, total), p in frontier.items():
-            for j in (mu[k],) if forced else A.followers(suffix[-1]):
-                window = (suffix + (j,))[-K:]
-                new_total = total + (table[window] if k + 1 >= K else 0)
+            for j in (mu[k],) if forced else fol[suffix[-1] - 1]:
+                longer = suffix + (j,)
+                new_total = total + (table[longer[-K:]] if k + 1 >= K else 0)
                 # A forced prefix may exceed the budget and still close at |mu|.
                 if not forced and abs(new_total) > budget:
                     continue
-                state = ((suffix + (j,))[-suffix_len:], new_total)
+                state = (longer[-suffix_len:], new_total)
                 if state not in nxt:
                     nxt[state] = p + (j,)
         frontier = nxt
@@ -477,18 +477,17 @@ def _sample_grid(A, size):
             break
         cycles.append(cyc)
         remaining -= set(cyc)
-    zs = []
+    zs = {}  # the first point of each canonical form, in order
     for m in range(4):
         for pre in enumerate_words(A, m):
             for cyc in cycles:
-                if pre and cyc[0] not in A.follower_set(pre[-1]):
+                if pre and cyc[0] not in A._follower_sets[pre[-1] - 1]:
                     continue
                 z = PointSpec(A, pre, cyc)
-                if z not in zs:
-                    zs.append(z)
-                    if len(zs) == size:
-                        return zs, mus
-    return zs, mus
+                zs.setdefault(z.canonical(), z)
+                if len(zs) == size:
+                    return list(zs.values()), mus
+    return list(zs.values()), mus
 
 
 def minimality_verdict(A, f, k_max=_K_MAX, value_max=_VALUE_MAX):

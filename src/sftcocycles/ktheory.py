@@ -243,7 +243,7 @@ def ck_k_groups(A):
     both groups.
     """
     _require(A, TransitionMatrix, "A")
-    core = _core({s: dict.fromkeys(A.followers(s), 1) for s in range(1, A.n + 1)})
+    core = _core({s: dict.fromkeys(fol, 1) for s, fol in enumerate(A._followers, 1)})
     index = {v: i for i, v in enumerate(core)}
     n = len(index)
     M = _identity(n)
@@ -382,7 +382,7 @@ def _perron_graph(M):
     """
     if isinstance(M, TransitionMatrix):
         graph = _graph(M)
-        succ = [dict.fromkeys([j - 1 for j in M.followers(i)], 1) for i in range(1, M.n + 1)]
+        succ = [dict.fromkeys([j - 1 for j in fol], 1) for fol in M._followers]
     else:
         rows = _int_rows(M)
         graph = _rows_graph(rows)

@@ -14,11 +14,15 @@ equal iff their normalized tables coincide.  Everything here is pure
 and immutable.
 """
 
+from itertools import chain
+
 from .sft import (
+    _PLAIN_INT,
     PointSpec,
     TransitionMatrix,
     _excerpt,
     _excerpt_ends,
+    _graph,
     _integer,
     _integers,
     _length,
@@ -124,7 +128,11 @@ class LocFun:
         """The constant value on the cylinder of `word` (len >= depth)."""
         try:
             if len(word) >= self.depth:
-                return self.table[tuple(word[: self.depth])]
+                key = tuple(word[: self.depth])
+                # A bool equals 1 and would find the entry of an int word.
+                if set(map(type, key)) <= _PLAIN_INT:
+                    return self.table[key]
+                raise KeyError(key)
         except (TypeError, KeyError):
             # Not a word, or one that is not admissible: refuse it by name.
             self.matrix.check_word(word)
@@ -236,19 +244,28 @@ def _table_values(A, m, table, name):
     """The admissible m-words in order, and the table's values on them.
 
     The keys must be exactly those words, tuples of ``int`` symbols.  A
-    complete table costs one listing and one lookup per word.  The listing
-    stops at the first length with more words than keys; then
-    :func:`_first_gap` names the least word missed, in one sweep.
+    complete table passes one gate: one listing of the words, one lookup
+    per word, a count of the keys and one C-level pass,
+    ``set(map(type, ...))``, over the symbols of all keys.  The listing
+    stops at the first length with more words than keys.  Only a table
+    that fails the gate is walked key by key, to refuse it by name: a
+    table without a single m-tuple key first, then the least admissible
+    word missed, named by :func:`_first_gap` in one sweep, then the keys
+    that are not admissible words.
     """
-    if not any(isinstance(w, tuple) and len(w) == m for w in table):
-        raise ValueError("%s is missing every admissible word of length %d" % (name, m))
     words = _list_words(A, range(1, A.n + 1), m, len(table))
     try:
         values = None if words is None else [table[w] for w in words]
     except KeyError:
         values = None
-    if values and len(table) == len(words) and {type(s) for w in table for s in w} == {int}:
+    if (
+        values
+        and len(table) == len(words)
+        and set(map(type, chain.from_iterable(table))) <= _PLAIN_INT
+    ):
         return words, values
+    if not any(isinstance(w, tuple) and len(w) == m for w in table):
+        raise ValueError("%s is missing every admissible word of length %d" % (name, m))
     keys = {w for w in table if isinstance(w, tuple) and len(w) == m and A.is_admissible(w)}
     if values is None:
         gap = _first_gap(A, sorted(keys), m)
@@ -357,7 +374,7 @@ class BlockCode:
         self.table = dict(zip(words, values))
         for w in enumerate_words(source, window + 1):
             a, b = self.table[w[:window]], self.table[w[1:]]
-            if b not in target.follower_set(a):
+            if b not in target._follower_sets[a - 1]:
                 raise ValueError(
                     "code image of %s is not admissible in the target" % _excerpt(w)
                 )
@@ -496,7 +513,7 @@ def _first_gap(matrix, words, depth):
     each is the gap (the least uncovered word) extended by least followers,
     and the next gap is the next sibling of its deepest symbol with one.
     """
-    follow, gap = matrix.followers, (1,)
+    follow, gap = _graph(matrix)[1], (1,)
     for w in words:
         k = len(gap)
         if w[:k] != gap or any(b != follow(a)[0] for a, b in zip(w[k - 1 :], w[k:])):

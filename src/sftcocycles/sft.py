@@ -30,7 +30,7 @@ concurrent use needs no coordination.
 
 from collections import Counter
 from functools import cached_property
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd
 from numbers import Integral
 from sys import maxsize
@@ -47,6 +47,7 @@ __all__ = [
 
 
 _PLAIN_INT = frozenset({int})
+_BITS = frozenset({0, 1})
 
 
 def _integer(value, name, least=None):
@@ -114,6 +115,8 @@ def _length(value, name, least):
     longer than ``sys.maxsize``, so a larger count is refused by name at
     once, where it would fail on an index or run until memory ran out.
     """
+    if type(value) is int and least <= value <= maxsize:
+        return value
     value = _integer(value, name, least)
     if value > maxsize:
         raise ValueError("%s must be at most %d, not %s" % (name, maxsize, _excerpt(value)))
@@ -163,8 +166,11 @@ def _excerpt_ends(word):
 def _integers(values, name):
     """The values as a list of Python ints, each through :func:`_integer`.
 
-    ``name(i)`` names the i-th value in a refusal.  The common all-``int``
-    case costs one ``set(map(type, values))`` and no per-value call.
+    One C-level pass, ``set(map(type, values))``, gates the whole list:
+    when every value is a plain ``int`` the list is returned as it is,
+    with no per-value call.  Only when that pass finds another type does
+    the per-value walk run; it converts NumPy integers and refuses the
+    first other value, named by ``name(i)`` for the i-th value.
     """
     if not isinstance(values, list):
         values = list(values)
@@ -177,18 +183,26 @@ def _int_rows(M):
     """The matrix as a list of rows of Python ints, checked rectangular.
 
     Entries pass the integer gate, so a float, string or null entry is
-    refused, naming its row and column, instead of being coerced.
+    refused, naming its row and column, instead of being coerced.  The
+    gate is one C-level pass for the whole matrix: ``set(map(len, rows))``
+    tests the row lengths and ``set(map(type, ...))`` over all entries
+    their types, so a matrix of plain ``int`` entries is returned with
+    no per-row or per-entry call.  Only when that pass finds another
+    type are the rows walked, one :func:`_integers` each, to convert
+    NumPy integers and name the first cell that is not an integer.
     """
     if hasattr(M, "dtype"):
         if getattr(M.dtype, "kind", None) not in ("i", "u", "O"):
             raise ValueError("matrix entries must be integers, not %s" % (M.dtype,))
         M = M.tolist()
     try:
-        rows = [list(row) for row in M]
+        rows = list(map(list, M))
     except TypeError:
         raise ValueError("matrix must be a 2-D array") from None
-    if any(len(row) != len(rows[0]) for row in rows):
+    if len(set(map(len, rows))) > 1:
         raise ValueError("matrix rows must all have the same length")
+    if set(map(type, chain.from_iterable(rows))) <= _PLAIN_INT:
+        return rows
     return [
         _integers(row, lambda j: "matrix entry (%d, %d)" % (i, j + 1))
         for i, row in enumerate(rows, 1)
@@ -202,12 +216,15 @@ def _graph(entries):
     integers, whose positive entries are the edges.  Any other matrix is
     read once through the integer gate :func:`_int_rows`, so a float,
     bool, string or null entry is refused naming its cell.  Each lookup
-    maps a symbol to its neighbouring symbols as a list; for such a
-    matrix they read one row, or one column, when asked, so a search
-    that stops early never reads the rest.
+    maps a symbol to its neighbouring symbols; for such a matrix they
+    read one row, or one column, when asked, so a search that stops
+    early never reads the rest.  The lookups take a symbol in 1..n
+    unchecked: they are the package's own, for loops over symbols it
+    holds, where the public ``TransitionMatrix.followers`` checks each.
     """
     if isinstance(entries, TransitionMatrix):
-        return entries.n, entries.followers, entries.predecessors
+        fol, pre = entries._followers, entries._predecessors
+        return entries.n, lambda s: fol[s - 1], lambda s: pre[s - 1]
     return _rows_graph(_int_rows(entries))
 
 
@@ -355,7 +372,7 @@ class TransitionMatrix:
         n = len(rows)
         if n == 0 or len(rows[0]) != n:
             raise ValueError("transition matrix must be a square 2-D array")
-        if not all(set(row) <= {0, 1} for row in rows):
+        if not set(chain.from_iterable(rows)) <= _BITS:
             raise ValueError("transition matrix entries must all be 0 or 1")
         symbols = range(1, n + 1)
         self._set_graph(tuple(tuple(compress(symbols, row)) for row in rows))
@@ -398,11 +415,14 @@ class TransitionMatrix:
         for i, fol in enumerate(followers, 1):
             for j in fol:
                 predecessors[j - 1].append(i)
-        for i in range(n):
-            if not followers[i]:
-                raise ValueError("row %d is zero: symbol %d has no follower" % (i + 1, i + 1))
-            if not predecessors[i]:
-                raise ValueError("column %d is zero: symbol %d has no predecessor" % (i + 1, i + 1))
+        if not (all(followers) and all(predecessors)):
+            for i in range(n):  # name the first zero row or column
+                if not followers[i]:
+                    raise ValueError("row %d is zero: symbol %d has no follower" % (i + 1, i + 1))
+                if not predecessors[i]:
+                    raise ValueError(
+                        "column %d is zero: symbol %d has no predecessor" % (i + 1, i + 1)
+                    )
         self.n = n
         self._followers = followers
         self._predecessors = tuple(map(tuple, predecessors))
@@ -442,15 +462,23 @@ class TransitionMatrix:
 
     def followers(self, symbol):
         """Symbols j with A(symbol, j) = 1, ascending."""
-        return self._followers[symbol - 1]
+        return self._followers[self._index(symbol)]
 
     def follower_set(self, symbol):
         """Symbols j with A(symbol, j) = 1, as a frozenset for membership tests."""
-        return self._follower_sets[symbol - 1]
+        return self._follower_sets[self._index(symbol)]
 
     def predecessors(self, symbol):
         """Symbols i with A(i, symbol) = 1, ascending."""
-        return self._predecessors[symbol - 1]
+        return self._predecessors[self._index(symbol)]
+
+    def _index(self, symbol):
+        # The row of a symbol asked for from outside: an int (not a bool)
+        # in 1..n, or a refusal by name.  The package's own loops index
+        # the tuples directly, or through the lookups of _graph.
+        if type(symbol) is int and 0 < symbol <= self.n:
+            return symbol - 1
+        raise ValueError("symbol %s out of range" % _excerpt(symbol))
 
     def is_admissible(self, word):
         """True iff every symbol is in range and every step is allowed."""
@@ -528,9 +556,10 @@ def enumerate_words(A, m, after=None):
 
 def _list_words(A, first, m, cap=maxsize):
     """The admissible m-words from `first` (m >= 1); None once a length has more than `cap`."""
+    fol = A._followers
     words = [(i,) for i in first]
     while len(words) <= cap and len(words[0]) < m:
-        words = [w + (j,) for w in words for j in A.followers(w[-1])]
+        words = [w + (j,) for w in words for j in fol[w[-1] - 1]]
     return words if len(words) <= cap else None
 
 
@@ -566,9 +595,10 @@ def _cyclic(A, allowed):
     symbols or a loop; one pass of :func:`_components` finds them in
     O(n + E) time, E counting the edges leaving the set.
     """
-    comp = _components(A.n, lambda s: allowed.intersection(A.followers(s)) if s in allowed else ())
+    fol = A._followers
+    comp = _components(A.n, lambda s: allowed.intersection(fol[s - 1]) if s in allowed else ())
     size = Counter(comp)
-    return sorted(s for s in allowed if size[comp[s - 1]] > 1 or s in A.follower_set(s))
+    return sorted(s for s in allowed if size[comp[s - 1]] > 1 or s in fol[s - 1])
 
 
 def has_cycle_within(A, symbols):
@@ -585,6 +615,7 @@ def has_cycle_within(A, symbols):
     one breadth-first walk per such start O(|S| + E) time and O(|S|) memory.
     """
     allowed = _require(A, TransitionMatrix, "A").check_symbols(symbols)
+    fol, sets = A._followers, A._follower_sets
     best = None
     for start in _cyclic(A, allowed):
         # Breadth-first order with ascending followers reaches every
@@ -596,14 +627,14 @@ def has_cycle_within(A, symbols):
         for s in order:
             if best is not None and length[s] >= len(best):
                 break
-            if start in A.follower_set(s):
+            if start in sets[s - 1]:
                 cycle = []
                 while s is not None:
                     cycle.append(s)
                     s = parent[s]
                 best = tuple(reversed(cycle))
                 break
-            for j in A.followers(s):
+            for j in fol[s - 1]:
                 if j in allowed and j not in parent:
                     parent[j], length[j] = s, length[s] + 1
                     order.append(j)
@@ -637,10 +668,10 @@ class PointSpec:
         self.period = matrix.check_word(period)
         if not self.period:
             raise ValueError("period must be nonempty")
-        head = self.period[0]
-        if head not in matrix.follower_set(self.period[-1]):
+        head, sets = self.period[0], matrix._follower_sets  # both words are checked
+        if head not in sets[self.period[-1] - 1]:
             raise ValueError("period %s does not close up" % _excerpt(self.period))
-        if self.preperiod and head not in matrix.follower_set(self.preperiod[-1]):
+        if self.preperiod and head not in sets[self.preperiod[-1] - 1]:
             raise ValueError("preperiod does not connect to period")
 
     def symbol(self, i):
@@ -691,10 +722,12 @@ class PointSpec:
     def __eq__(self, other):
         if not isinstance(other, PointSpec):
             return NotImplemented
+        if not self.matrix.same_matrix(other.matrix):
+            return False
+        # Equal parts are the same point; only unequal ones need canonical forms.
         return (
-            self.matrix.same_matrix(other.matrix)
-            and self.canonical() == other.canonical()
-        )
+            self.preperiod == other.preperiod and self.period == other.period
+        ) or self.canonical() == other.canonical()
 
     def __hash__(self):
         return hash(self.canonical())

@@ -119,7 +119,7 @@ def sigma_family(A, H):
         stack = [(i,)]
         while stack:
             w = stack.pop()
-            for j in A.followers(w[-1]):
+            for j in A._followers[w[-1] - 1]:
                 if j in H:
                     words.append(w + (j,))
                 else:
@@ -162,7 +162,7 @@ def inclusion_matrix(A, H):
     # it marks the words whose first symbol may follow that symbol.
     rows = {}
     for s in family.H:
-        fol = A.follower_set(s)
+        fol = A._follower_sets[s - 1]
         rows[s] = tuple([1 if f in fol else 0 for f in firsts])
     return InclusionMatrix(family, tuple(rows[w[-1]] for w in family.words))
 
@@ -201,7 +201,7 @@ def weight_word_census(A, H, n, len_cap):
     for _ in range(len_cap - 1):
         nxt = {}
         for (i, w), c in state.items():
-            for j in A.followers(i):
+            for j in A._followers[i - 1]:
                 wj = min(w + (1 if j in H else 0), weight_cap)
                 nxt[(j, wj)] = nxt.get((j, wj), 0) + c
         state = nxt

@@ -15,7 +15,7 @@ two-sided infinite sequences; only this one-sided finite-window
 restriction is implemented, which is all the finite checks need.
 """
 
-from .sft import TransitionMatrix, _excerpt, _integers, _require, _tuple, higher_block
+from .sft import TransitionMatrix, _excerpt, _graph, _integers, _require, _tuple, higher_block
 from .locfun import LocFun, _check_shift
 
 __all__ = [
@@ -58,7 +58,7 @@ class SuspendedMatrix:
             if t < ceilings[j - 1] - 1:
                 followers.append((index[(j, t + 1)] + 1,))
             else:
-                followers.append(tuple(index[(k, 0)] + 1 for k in base.followers(j)))
+                followers.append(tuple(index[(k, 0)] + 1 for k in base._followers[j - 1]))
         self.base = base
         self.ceilings = ceilings
         self.labels = tuple(labels)
@@ -71,10 +71,13 @@ class SuspendedMatrix:
 
     def symbol_of(self, j, t):
         """The 1-based suspended symbol for tower j, level t."""
-        try:
-            return self.index[(j, t)] + 1
-        except (KeyError, TypeError):
-            raise ValueError("no tower level (j, t) = %s" % _excerpt((j, t))) from None
+        # Only ints are looked up: True and False would find the levels of 1 and 0.
+        if type(j) is int and type(t) is int:
+            try:
+                return self.index[(j, t)] + 1
+            except KeyError:
+                pass
+        raise ValueError("no tower level (j, t) = %s" % _excerpt((j, t)))
 
     def label(self, symbol):
         """The (tower j, level t) of a 1-based suspended symbol."""
@@ -115,10 +118,11 @@ def reduce_to_first_coordinate(A, f):
 def encode_word(S, word):
     """Expand a base word into the suspended shift, tower by tower."""
     word = _require(S, SuspendedMatrix, "S").base.check_word(word)
+    index = S.index  # the word is checked: its levels are keys
     out = []
     for j in word:
         for t in range(S.ceilings[j - 1]):
-            out.append(S.symbol_of(j, t))
+            out.append(index[(j, t)] + 1)
     return tuple(out)
 
 
@@ -154,14 +158,15 @@ def corner_partition_check(A, ceilings):
     flags a construction bug.
     """
     S = SuspendedMatrix(_require(A, TransitionMatrix, "A"), ceilings)
-    M = S.matrix
+    _, base_followers, _ = _graph(A)
+    _, followers, predecessors = _graph(S.matrix)
     for j in range(1, A.n + 1):
         top = S.ceilings[j - 1] - 1
         for t in range(top):
             here, up = S.symbol_of(j, t), S.symbol_of(j, t + 1)
-            if M.followers(here) != (up,) or M.predecessors(up) != (here,):
+            if followers(here) != (up,) or predecessors(up) != (here,):
                 return False
-        expected = {S.symbol_of(k, 0) for k in A.followers(j)}
-        if set(M.followers(S.symbol_of(j, top))) != expected:
+        expected = {S.symbol_of(k, 0) for k in base_followers(j)}
+        if set(followers(S.symbol_of(j, top))) != expected:
             return False
     return True

@@ -167,6 +167,16 @@ def test_value_on_refuses_a_word_by_name(golden, word, message):
     assert f.value_on([1, 2, 1]) == 7 and f.value_on((2, 1)) == -2
 
 
+def test_value_on_refuses_a_bool_symbol(golden):
+    # True == 1, so the lookup found the entry of (1, 1); check_word refuses it.
+    f = LocFun(golden, 2, {(1, 1): 5, (1, 2): 7, (2, 1): -2})
+    for word in ((1, True), (True, 1), (1, 1.0)):
+        with pytest.raises(ValueError, match=r"word \(.*\) is not admissible"):
+            f.value_on(word)
+    with pytest.raises(ValueError, match=r"^word \(1, True\) is not admissible for this matrix$"):
+        f.value_on((1, True))
+
+
 def test_locfun_arithmetic(golden):
     f = make_chi_H(golden, {1})
     g = LocFun(golden, 2, {(1, 1): 1, (1, 2): 2, (2, 1): 3})

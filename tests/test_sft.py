@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,18 @@ def test_bool_is_not_a_symbol(golden, flag):
         make_chi_H(golden, {flag})
     with pytest.raises(ValueError):
         is_saturated(golden, {flag})
+
+
+@pytest.mark.parametrize("symbol", [0, -1, 3, True, 1.0], ids=repr)
+def test_graph_lookups_refuse_a_symbol_by_name(golden, symbol):
+    # 0 and -1 used to wrap around to the last symbols, True answered for
+    # symbol 1, and 3 raised a bare IndexError.
+    for lookup in (golden.followers, golden.predecessors, golden.follower_set):
+        with pytest.raises(ValueError, match=r"^symbol %s out of range$" % re.escape(repr(symbol))):
+            lookup(symbol)
+    assert [golden.followers(s) for s in (1, 2)] == [(1, 2), (1,)]
+    assert [golden.predecessors(s) for s in (1, 2)] == [(1, 2), (1,)]
+    assert [golden.follower_set(s) for s in (1, 2)] == [{1, 2}, {1}]
 
 
 GOLDEN = TransitionMatrix([[1, 1], [1, 0]])

@@ -119,6 +119,9 @@ def test_decode_examples(golden):
         (lambda S: S.symbol_of(1, 5), r"no tower level \(j, t\) = \(1, 5\)"),
         (lambda S: S.symbol_of(3, 0), r"no tower level \(j, t\) = \(3, 0\)"),
         (lambda S: S.symbol_of([1], 0), r"no tower level \(j, t\) = \(\[1\], 0\)"),
+        (lambda S: S.symbol_of(True, 0), r"no tower level \(j, t\) = \(True, 0\)"),
+        (lambda S: S.symbol_of(2, True), r"no tower level \(j, t\) = \(2, True\)"),
+        (lambda S: S.symbol_of(1.0, 0), r"no tower level \(j, t\) = \(1\.0, 0\)"),
     ],
 )
 def test_tower_lookups_refuse_by_name(golden, lookup, message):
